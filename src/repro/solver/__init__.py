@@ -29,13 +29,16 @@ decision procedure the pipeline needs:
 ``repro.solver.sat``
     A CDCL SAT solver (two-watched literals, 1UIP learning, heap-based
     VSIDS with exponential decay, phase saving, Luby restarts,
-    LBD-based clause-database reduction).
+    LBD-based clause-database reduction) with a theory hook called at
+    every propagation fixpoint.
 
 ``repro.solver.simplex``
     The Dutertre–de Moura general simplex for conjunctions of linear
     constraints, producing minimal-ish conflict sets: integer-indexed
     rows with column occurrence lists, a trail-based bound stack
-    (``push_state``/``pop_state``) and Dantzig/Bland pivot selection.
+    (``push_state``/``pop_state``, one level per decision level), a
+    dirty set of possibly violated rows and Dantzig/Bland pivot
+    selection.
 
 ``repro.solver.profile``
     The ``SolverProfile`` counter bundle (pivots, propagations,
@@ -43,7 +46,9 @@ decision procedure the pipeline needs:
     stack and surfaced by the CLI ``--profile`` flag.
 
 ``repro.solver.smt``
-    The lazy DPLL(T) loop tying the SAT core to the simplex, with model
+    The online DPLL(T) loop: one CDCL search per check, with the simplex
+    asserting bounds and checking feasibility at every propagation
+    fixpoint and handing back Farkas lemmas on conflict; plus model
     extraction (concrete rational witnesses for satisfiable queries).
 
 ``repro.solver.encode``

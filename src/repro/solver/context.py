@@ -282,13 +282,12 @@ class SolverContext:
         self,
         bool_vars: Optional[Set[str]] = None,
         cache: Optional[QueryCache] = None,
-        max_rounds: int = 100_000,
         oracle: Optional[Dict[str, CacheEntry]] = None,
         witness: bool = False,
     ) -> None:
         self.bool_vars = set(bool_vars or ())
         self.encoder = Encoder(bool_vars=self.bool_vars)
-        self.solver = SMTSolver(max_rounds=max_rounds)
+        self.solver = SMTSolver()
         #: Emit proof certificates for valid answers (see repro.witness).
         self.witness = witness
         #: The certificate behind the most recent valid answer (solve,

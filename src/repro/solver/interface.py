@@ -67,8 +67,7 @@ class ValidityChecker:
         trustworthy, a False answer may be a spurious abstraction effect.
         This matches how the pipeline uses the answer — a failed check
         makes the type checker reject (conservative direction).  The
-        countermodel is None when the goal is valid or the solver gave
-        up (round limit).
+        countermodel is None when the goal is valid.
         """
         premises = tuple(premises)
         self.queries += 1
@@ -115,7 +114,7 @@ class ValidityChecker:
         if valid:
             return None
         if model is None:
-            raise RuntimeError("solver gave up (round limit)")
+            raise RuntimeError("solver refuted the query without a model")
         return model
 
     def is_satisfiable(self, exprs: Iterable[ast.Expr]) -> SatResult:

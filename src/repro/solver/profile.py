@@ -5,7 +5,7 @@ A single :class:`SolverProfile` instance is shared by an
 theory solver, so one object accumulates every interesting event of a
 solve: SAT-level work (decisions, propagations, conflicts, restarts,
 learned/deleted clauses), theory-level work (pivots, bound assertions,
-theory conflicts) and DPLL(T) rounds.  The verification layer merges
+theory conflicts) and DPLL(T) checks.  The verification layer merges
 the per-context profiles into one per-run profile and surfaces it
 through :class:`~repro.verify.verifier.VerificationOutcome` and the CLI
 ``--profile`` flag.
@@ -27,7 +27,8 @@ class SolverProfile:
 
     #: DPLL(T) checks executed (one per SMTSolver.check()).
     solve_calls: int = 0
-    #: candidate-model rounds inside those checks (SAT solve → theory check).
+    #: SAT searches run by those checks: one per check, since the theory
+    #: is checked inside the search (kept for report compatibility).
     rounds: int = 0
     # -- SAT core ----------------------------------------------------------
     decisions: int = 0

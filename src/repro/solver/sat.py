@@ -7,14 +7,22 @@ restarts** and **learned-clause database reduction by LBD** (literal
 block distance — the number of distinct decision levels in a learned
 clause; low-LBD "glue" clauses are kept forever, high-LBD ones are
 periodically dropped).  The solver is incremental in the way DPLL(T)
-needs: new clauses (theory conflicts, scoped assertions) can be added
-between ``solve()`` calls, and ``solve(assumptions)`` treats the
-assumptions as temporary first decisions.
+needs: new clauses (scoped assertions) can be added between ``solve()``
+calls, and ``solve(assumptions)`` treats the assumptions as temporary
+first decisions.
+
+``solve(assumptions, theory)`` runs the *online* DPLL(T) loop: at every
+propagation fixpoint the theory is shown the trail and either accepts
+it or returns a lemma falsified on the trail (see :class:`Theory`).  An
+asserting lemma — one literal at its highest level — becomes the reason
+of that literal after a backjump; any other lemma is a conflict clause
+for first-UIP analysis.  The theory is held only for the duration of
+one ``solve`` call, so the solver never keeps its owner alive.
 
 Clause-database reduction only ever removes clauses the solver *learned*
 itself (they are implied by the rest, so removal is sound and cannot
 change SAT/UNSAT answers); clauses added through :meth:`add_clause` —
-problem clauses, selector-guarded scope clauses, theory lemmas — are
+problem clauses, selector-guarded scope clauses — and theory lemmas are
 permanent.
 
 Literals follow the DIMACS convention: nonzero ints, ``-v`` negates.
@@ -23,7 +31,7 @@ Literals follow the DIMACS convention: nonzero ints, ``-v`` negates.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.solver.profile import SolverProfile
 
@@ -42,6 +50,25 @@ def luby(i: int) -> int:
 
 class Unsatisfiable(Exception):
     """Raised internally when the instance is refuted at level 0."""
+
+
+class Theory(Protocol):
+    """The theory side of :meth:`CDCLSolver.solve`.
+
+    ``check_theory`` is called at every propagation fixpoint with the
+    trail and the trail index at which each decision level starts.  It
+    returns ``None`` when the assigned literals are theory-consistent, or
+    a lemma: a valid clause whose literals are all false on the trail.
+    ``backtrack(level)`` is called whenever the trail is cut back to
+    ``level`` (and once with 0 at the start of each solve, since
+    :meth:`CDCLSolver.add_clause` may have cut it between solves).
+    """
+
+    def check_theory(self, trail: List[Literal], level_starts: List[int]) -> Optional[List[Literal]]:
+        ...
+
+    def backtrack(self, level: int) -> None:
+        ...
 
 
 class CDCLSolver:
@@ -92,10 +119,14 @@ class CDCLSolver:
         # var is bumped (a fresher entry is pushed) — stale pops are skipped.
         self._heap: List[Tuple[float, int]] = []
         self._unsat = False
+        #: The theory of the running ``solve`` call, else None.
+        self._theory: Optional[Theory] = None
         #: Optional shared proof-event log (the witness subsystem's DRUP
         #: trail).  When set, every learned clause is appended as a
         #: ``("learn", clause)`` event in learn order — each is checkable
-        #: by reverse unit propagation against the events before it.
+        #: by reverse unit propagation against the events before it.  Theory
+        #: lemmas are logged by the theory itself, before any clause
+        #: learned from them.
         self.proof: Optional[List[Tuple]] = None
         self.ensure_vars(num_vars)
 
@@ -193,6 +224,8 @@ class CDCLSolver:
         del self._trail[limit:]
         del self._trail_limits[level:]
         self._propagate_head = min(self._propagate_head, len(self._trail))
+        if self._theory is not None:
+            self._theory.backtrack(level)
 
     # -- propagation ----------------------------------------------------------
 
@@ -384,72 +417,52 @@ class CDCLSolver:
                 return var if self._phase[var] else -var
         return None
 
-    def solve(self, assumptions: Sequence[Literal] = ()) -> bool:
+    def solve(self, assumptions: Sequence[Literal] = (), theory: Optional[Theory] = None) -> bool:
         """Solve the current clause set; returns True iff satisfiable.
 
-        ``assumptions`` are temporary decisions; the solver state is reset
-        to level 0 afterwards either way.
+        ``assumptions`` are temporary decisions; the next ``solve`` or
+        ``add_clause`` resets the solver to level 0.  With a ``theory``,
+        True means the full assignment is also theory-consistent.
         """
         if self._unsat:
             return False
         self._backtrack(0)
-        if self._propagate() is not None:
+        self._theory = theory
+        try:
+            if theory is not None:
+                theory.backtrack(0)
+            return self._search(assumptions, theory)
+        except Unsatisfiable:
             self._unsat = True
             return False
+        finally:
+            self._theory = None
+
+    def _search(self, assumptions: Sequence[Literal], theory: Optional[Theory]) -> bool:
+        if self._propagate() is not None:
+            raise Unsatisfiable
+        floor = len(assumptions)
         conflicts_since_restart = 0
         restart_index = 1
         restart_limit = self._restart_base * luby(restart_index)
-        try:
-            while True:
-                conflict = self._propagate()
-                if conflict is not None:
-                    if self._decision_level() == 0:
-                        raise Unsatisfiable
-                    if self._decision_level() <= len(assumptions):
-                        # Conflict under assumptions only.
-                        return False
-                    learned, back_level = self._analyze(conflict)
-                    if self.proof is not None:
-                        self.proof.append(("learn", tuple(learned)))
-                    back_level = max(back_level, len(assumptions))
-                    self._backtrack(back_level)
-                    conflicts_since_restart += 1
-                    self._conflicts_total += 1
-                    self.profile.conflicts += 1
-                    self._activity_inc /= self._activity_decay
-                    if len(learned) == 1 and back_level == 0:
-                        if not self._enqueue(learned[0], None):
-                            raise Unsatisfiable
-                    else:
-                        clause = list(learned)
-                        if len(clause) >= 2:
-                            # Second watch must be a highest-level literal.
-                            levels = [self._level_of[abs(l)] for l in clause]
-                            k = max(range(1, len(clause)), key=lambda j: levels[j])
-                            clause[1], clause[k] = clause[k], clause[1]
-                            index = self._attach(clause, lbd=self._clause_lbd(clause))
-                            self.profile.learned_clauses += 1
-                            self._enqueue(clause[0], self._clauses[index])
-                        else:
-                            self._enqueue(clause[0], None)
-                    if (
-                        conflicts_since_restart >= restart_limit
-                        and self._decision_level() > len(assumptions)
-                    ):
-                        conflicts_since_restart = 0
-                        restart_index += 1
-                        restart_limit = self._restart_base * luby(restart_index)
-                        self._restarts_total += 1
-                        self.profile.restarts += 1
-                        self._backtrack(len(assumptions))
-                        if self._conflicts_total >= self._reduce_limit:
-                            self._reduce_db()
-                            self._reduce_limit += self._reduce_inc
-                    continue
-
+        while True:
+            conflict = self._propagate()
+            lemma = None
+            if conflict is None and theory is not None:
+                lemma = theory.check_theory(self._trail, self._trail_limits)
+                if lemma is not None:
+                    conflict = self._add_lemma(lemma, floor)
+            if conflict is not None:
+                if self._decision_level() == 0:
+                    raise Unsatisfiable
+                if self._decision_level() <= floor:
+                    # Conflict under assumptions only.
+                    return False
+                self._learn(conflict, floor)
+            elif lemma is None:
                 # Apply pending assumptions as decisions.
                 level = self._decision_level()
-                if level < len(assumptions):
+                if level < floor:
                     literal = assumptions[level]
                     if self.value(literal) is False:
                         return False
@@ -464,9 +477,80 @@ class CDCLSolver:
                 self.profile.decisions += 1
                 self._trail_limits.append(len(self._trail))
                 self._enqueue(branch, None)
-        except Unsatisfiable:
-            self._unsat = True
-            return False
+                continue
+
+            # A Boolean conflict or a theory lemma was handled.
+            conflicts_since_restart += 1
+            self._conflicts_total += 1
+            self._activity_inc /= self._activity_decay
+            if conflicts_since_restart >= restart_limit and self._decision_level() > floor:
+                conflicts_since_restart = 0
+                restart_index += 1
+                restart_limit = self._restart_base * luby(restart_index)
+                self._restarts_total += 1
+                self.profile.restarts += 1
+                self._backtrack(floor)
+                if self._conflicts_total >= self._reduce_limit:
+                    self._reduce_db()
+                    self._reduce_limit += self._reduce_inc
+
+    def _learn(self, conflict: List[Literal], floor: int) -> None:
+        """Analyze a conflict at the current level, backjump, assert the UIP."""
+        learned, back_level = self._analyze(conflict)
+        if self.proof is not None:
+            self.proof.append(("learn", tuple(learned)))
+        back_level = max(back_level, floor)
+        self._backtrack(back_level)
+        self.profile.conflicts += 1
+        if len(learned) == 1 and back_level == 0:
+            if not self._enqueue(learned[0], None):
+                raise Unsatisfiable
+        elif len(learned) >= 2:
+            clause = list(learned)
+            # Second watch must be a highest-level literal.
+            levels = [self._level_of[abs(l)] for l in clause]
+            k = max(range(1, len(clause)), key=lambda j: levels[j])
+            clause[1], clause[k] = clause[k], clause[1]
+            index = self._attach(clause, lbd=self._clause_lbd(clause))
+            self.profile.learned_clauses += 1
+            self._enqueue(clause[0], self._clauses[index])
+        else:
+            self._enqueue(learned[0], None)
+
+    def _add_lemma(self, lemma: Sequence[Literal], floor: int) -> Optional[List[Literal]]:
+        """Attach a theory lemma that is falsified on the trail.
+
+        Literals false at level 0 are dropped (they stay false for good).
+        A unit or asserting lemma (exactly one literal at its highest
+        level, above the assumptions) is attached, the solver backjumps
+        and that literal is propagated with the lemma as its reason;
+        returns None.  Otherwise the solver backtracks to the lemma's
+        highest level and returns the attached clause as the conflict to
+        analyze.  A lemma false at level 0 refutes the instance.
+        """
+        level_of = self._level_of
+        clause = [l for l in lemma if level_of[abs(l)] > 0]
+        if not clause:
+            raise Unsatisfiable
+        clause.sort(key=lambda l: -level_of[abs(l)])
+        top = level_of[abs(clause[0])]
+        if len(clause) == 1:
+            # Holds at level 0; the assumptions are re-applied on top.
+            self._bump(abs(clause[0]))
+            self._backtrack(0)
+            self._enqueue(clause[0], None)
+            return None
+        second = level_of[abs(clause[1])]
+        if second < top and top > floor:
+            for literal in clause:
+                self._bump(abs(literal))
+            self._backtrack(max(second, floor))
+            self._attach(clause)
+            self._enqueue(clause[0], clause)
+            return None
+        self._backtrack(top)
+        self._attach(clause)
+        return clause
 
     def model(self) -> Dict[int, bool]:
         """The satisfying assignment after a successful ``solve()``."""

@@ -18,13 +18,15 @@ The implementation is tuned for the DPLL(T) inner loop:
   mentioning it, so nonbasic updates and pivots touch O(occurrences)
   rows instead of scanning the whole tableau.
 * Bound assertion is **trail-based**: :meth:`push_state` marks a point,
-  :meth:`pop_state` restores the exact bounds in O(changes) — no
-  ``reset_bounds`` + full re-assertion per candidate model.
+  :meth:`pop_state` restores the exact bounds in O(changes).  The online
+  DPLL(T) loop pushes once per decision level and pops on backtrack.
 * :meth:`check` selects the violated *row* by Bland's rule (minimum
   index — also the better lemma producer, see its docstring) and the
   entering *column* by a Dantzig-style largest-coefficient heuristic,
   falling back to minimum index after a pivot budget, preserving
-  termination.
+  termination.  It only looks at **dirty** basic variables — those whose
+  value or bounds changed since they were last seen within bounds — so
+  the many checks of one search do not rescan every row.
 
 Reference: B. Dutertre and L. de Moura, "A Fast Linear-Arithmetic Solver
 for DPLL(T)", CAV 2006.
@@ -83,8 +85,8 @@ class Simplex:
 
     Usage: create, add tableau rows with :meth:`define`, then assert
     bounds and call :meth:`check`.  For the online DPLL(T) loop,
-    :meth:`push_state`/:meth:`pop_state` bracket each candidate model's
-    bound assertions; :meth:`reset_bounds` remains for offline use.
+    :meth:`push_state`/:meth:`pop_state` bracket the bounds of each
+    decision level; :meth:`reset_bounds` remains for offline use.
     """
 
     #: Pivots per :meth:`check` before switching from the Dantzig-style
@@ -108,6 +110,9 @@ class Simplex:
         self._trail: List[Tuple[int, bool, Optional[Bound]]] = []
         self._trail_limits: List[int] = []
         self._one_id: Optional[int] = None
+        # basic ids that may violate a bound: a superset of the violated
+        # rows, so the minimum violated one is still found here.
+        self._dirty: Set[int] = set()
 
     # -- construction ---------------------------------------------------------
 
@@ -192,6 +197,7 @@ class Simplex:
             self._upper[vid] = None
         self._trail.clear()
         self._trail_limits.clear()
+        self._dirty.clear()
         if self._one_id is not None:
             one = DeltaRat(Fraction(1))
             self._lower[self._one_id] = Bound("%one", False, one, "%one")
@@ -232,7 +238,9 @@ class Simplex:
             return
         self._trail.append((vid, True, upper))
         self._upper[vid] = Bound(var, True, value, tag)
-        if not self._is_basic[vid] and self._assignment[vid] > value:
+        if self._is_basic[vid]:
+            self._dirty.add(vid)
+        elif self._assignment[vid] > value:
             self._update(vid, value)
 
     def assert_lower(self, var: str, value: DeltaRat, tag: object) -> None:
@@ -247,7 +255,9 @@ class Simplex:
             return
         self._trail.append((vid, False, lower))
         self._lower[vid] = Bound(var, False, value, tag)
-        if not self._is_basic[vid] and self._assignment[vid] < value:
+        if self._is_basic[vid]:
+            self._dirty.add(vid)
+        elif self._assignment[vid] < value:
             self._update(vid, value)
 
     def _update(self, nonbasic: int, value: DeltaRat) -> None:
@@ -255,8 +265,10 @@ class Simplex:
         delta = value - assignment[nonbasic]
         assignment[nonbasic] = value
         rows = self._rows
-        for basic in self._cols[nonbasic]:
+        column = self._cols[nonbasic]
+        for basic in column:
             assignment[basic] = assignment[basic] + delta.scale(rows[basic][nonbasic])
+        self._dirty.update(column)
 
     # -- pivoting ---------------------------------------------------------------
 
@@ -304,11 +316,17 @@ class Simplex:
         theta = (value - assignment[basic]).scale(_ONE / coeff)
         assignment[basic] = value
         assignment[nonbasic] = assignment[nonbasic] + theta
+        dirty = self._dirty
         for other in self._cols[nonbasic]:
             if other == basic:
                 continue
             assignment[other] = assignment[other] + theta.scale(rows[other][nonbasic])
+            dirty.add(other)
         self._pivot(basic, nonbasic)
+        # The leaving variable now sits on its bound; the entering one
+        # may have overshot its own.
+        dirty.discard(basic)
+        dirty.add(nonbasic)
 
     # -- the check procedure -----------------------------------------------------
 
@@ -320,7 +338,7 @@ class Simplex:
         argument, the lowest rows are the structural slack definitions,
         and the Farkas conflicts they produce prune the DPLL(T) search
         far better than "most violated" alternatives (measured ~10x
-        fewer theory rounds on the registry sweep).  The *entering*
+        fewer theory conflicts on the registry sweep).  The *entering*
         column uses a Dantzig-style largest-coefficient heuristic until
         :attr:`bland_threshold` pivots have been spent in this check,
         then falls back to minimum index, restoring the full Bland rule
@@ -331,10 +349,12 @@ class Simplex:
         assignment = self._assignment
         lower = self._lower
         upper = self._upper
+        dirty = self._dirty
         while True:
             violating = -1
             below = False
-            for vid in self._rows:
+            clean = []
+            for vid in dirty:
                 if violating >= 0 and vid >= violating:
                     continue
                 value = assignment[vid]
@@ -345,6 +365,9 @@ class Simplex:
                 up = upper[vid]
                 if up is not None and value > up.value:
                     violating, below = vid, False
+                    continue
+                clean.append(vid)
+            dirty.difference_update(clean)
             if violating < 0:
                 return
             row = self._rows[violating]

@@ -1,13 +1,17 @@
-"""The lazy DPLL(T) loop: CDCL SAT core + simplex theory solver.
+"""The online DPLL(T) loop: CDCL SAT core + simplex theory solver.
 
-The loop is the classic lemmas-on-demand architecture:
+A check is one CDCL search with the simplex inside it:
 
-1. Tseitin-encode the asserted formulas to CNF.
-2. Ask the SAT core for a propositional model.
-3. Translate the model's theory literals into simplex bounds and check
-   feasibility.
-4. If infeasible, add the (negated) conflict set as a new clause and
-   repeat; otherwise report SAT with a concrete rational model.
+1. Tseitin-encode the asserted formulas to CNF and precompute, per
+   theory atom, the simplex bounds each polarity asserts.
+2. Run the SAT core.  At every propagation fixpoint it hands the new
+   trail literals to this solver (:meth:`SMTSolver.check_theory`),
+   which asserts their bounds — one simplex ``push_state`` per decision
+   level, popped on backtrack — and runs the simplex check.
+3. An infeasible bound set comes back to the SAT core as a Farkas lemma
+   falsified on the trail; the core backjumps on it.  When the search
+   completes, the simplex already holds a feasible assignment for the
+   full model, which is reported with a concrete rational model.
 
 Equality atoms get a theory-split clause ``(x = y) ∨ (x < y) ∨ (x > y)``
 at encoding time so that *negated* equalities never reach the simplex
@@ -16,7 +20,7 @@ at encoding time so that *negated* equalities never reach the simplex
 The solver is **incremental**: the SAT core, the Tseitin encoding and
 the simplex tableau persist across :meth:`SMTSolver.check` calls, so
 formulas added after a check only pay for their own clauses, and theory
-lemmas learned in one query prune the search in the next.  On top of
+lemmas found in one query prune the search in the next.  On top of
 that, :meth:`SMTSolver.push`/:meth:`SMTSolver.pop` provide retractable
 assertion scopes in the MiniSat style: each scope owns a fresh
 *selector* variable, scoped clauses are guarded by its negation, checks
@@ -44,7 +48,7 @@ from repro.solver.simplex import Infeasible, Simplex
 class SatResult:
     """Outcome of a satisfiability check."""
 
-    status: str  # "sat" | "unsat" | "unknown"
+    status: str  # "sat" | "unsat" ("unknown" only in stored legacy answers)
     arith_model: Dict[str, Fraction] = field(default_factory=dict)
     bool_model: Dict[str, bool] = field(default_factory=dict)
 
@@ -64,11 +68,14 @@ class SMTSolver:
     assertions made outside any scope are permanent.  :attr:`solve_calls`
     counts the DPLL(T) checks actually executed (the currency the
     benchmark suite reports).
+
+    The solver is also the SAT core's theory (:meth:`check_theory`,
+    :meth:`backtrack`), passed to each ``solve`` call rather than stored
+    in the core, so the two never form a reference cycle.
     """
 
-    def __init__(self, max_rounds: int = 100_000, profile: Optional[SolverProfile] = None) -> None:
+    def __init__(self, profile: Optional[SolverProfile] = None) -> None:
         self._encoder = TseitinEncoder()
-        self._max_rounds = max_rounds
         #: Inner-loop counters, shared with both engines below.
         self.profile = profile if profile is not None else SolverProfile()
         # Persistent engines.
@@ -77,8 +84,8 @@ class SMTSolver:
         self._slack_of: Dict[LinExpr, Tuple[str, Fraction]] = {}
         # SAT var -> precomputed bound plan for its atom: (simplex var,
         # upper-if-true, lower-if-true, upper-if-false, lower-if-false).
-        # Computed once per atom; every DPLL(T) round replays plans
-        # instead of renormalizing LinExprs and rebuilding DeltaRats.
+        # Computed once per atom before the search; the theory hook
+        # replays plans instead of renormalizing LinExprs.
         self._atom_plan: Dict[
             int,
             Tuple[
@@ -94,6 +101,13 @@ class SMTSolver:
         self._splits_done: Set[int] = set()  # equality atoms already split
         self._scopes: List[int] = []  # active selector variables
         self.solve_calls = 0
+        # Theory trail state: trail literals [0, _head) have their bounds
+        # asserted; _level_starts[k] is the trail index where decision
+        # level k+1 starts, one simplex push_state each; _stale means
+        # bounds changed since the last successful simplex check.
+        self._head = 0
+        self._level_starts: List[int] = []
+        self._stale = False
         # Proof bookkeeping (witness mode).  ``_atom_meta`` maps each
         # theory SAT var to ``(sign, factor)`` relating the asserted
         # simplex bounds back to the atom's own expression: the bound
@@ -179,72 +193,85 @@ class SMTSolver:
             if proof is not None:
                 proof.append(("input", tuple(clause)))
             self._synced += 1
+        if len(self._atom_plan) < len(cnf.atom_of_var):
+            for var, atom in cnf.atom_of_var.items():
+                if var not in self._atom_plan:
+                    self._plan_atom(var, atom)
 
         assumptions = tuple(self._scopes)
         self.solve_calls += 1
         self.profile.solve_calls += 1
-        rounds = 0
-        while rounds < self._max_rounds:
-            rounds += 1
-            self.profile.rounds += 1
-            if not self._sat.solve(assumptions):
-                if proof is not None:
-                    self.last_proof = (assumptions, tuple(proof))
-                return SatResult("unsat")
-            sat_values = self._sat._values  # direct view; True/False/None
-
-            # Bracket this candidate model's bounds with the simplex
-            # trail: popping restores the base (empty) bound state in
-            # O(changes) instead of reset + full re-assertion.
-            self._simplex.push_state()
-            try:
-                conflict: Optional[set] = None
-                try:
-                    plans = self._atom_plan
-                    simplex = self._simplex
-                    for var, atom in cnf.atom_of_var.items():
-                        value = sat_values[var]
-                        if value is None:
-                            continue
-                        plan = plans.get(var)
-                        if plan is None:
-                            plan = self._plan_atom(var, atom)
-                        name, pos_upper, pos_lower, neg_upper, neg_lower = plan
-                        if value:
-                            if pos_upper is not None:
-                                simplex.assert_upper(name, pos_upper, var)
-                            if pos_lower is not None:
-                                simplex.assert_lower(name, pos_lower, var)
-                        else:
-                            if neg_upper is not None:
-                                simplex.assert_upper(name, neg_upper, -var)
-                            if neg_lower is not None:
-                                simplex.assert_lower(name, neg_lower, -var)
-                    simplex.check()
-                except Infeasible as err:
-                    conflict = {t for t in err.conflict if isinstance(t, int)}
-                    farkas = err.farkas
-
-                if conflict is None:
-                    arith = self._simplex.concrete_model()
-                    arith = {k: v for k, v in arith.items() if not k.startswith("%")}
-                    booleans = {
-                        name: sat_values[var]
-                        for var, name in cnf.bool_of_var.items()
-                        if sat_values[var] is not None
-                    }
-                    return SatResult("sat", arith, booleans)
-            finally:
-                self._simplex.pop_state()
-
-            # Learn the theory conflict and continue.  Theory lemmas are
-            # valid independently of any scope, so they persist across
-            # pops — the incremental payoff.
-            lemma = [-lit for lit in conflict]
+        self.profile.rounds += 1
+        if not self._sat.solve(assumptions, theory=self):
             if proof is not None:
-                proof.append(("lemma", tuple(lemma), self._farkas_entries(farkas)))
-            self._sat.add_clause(lemma)
-        return SatResult("unknown")
+                self.last_proof = (assumptions, tuple(proof))
+            return SatResult("unsat")
+        sat_values = self._sat._values
+        arith = self._simplex.concrete_model()
+        arith = {k: v for k, v in arith.items() if not k.startswith("%")}
+        booleans = {
+            name: sat_values[var]
+            for var, name in cnf.bool_of_var.items()
+            if sat_values[var] is not None
+        }
+        return SatResult("sat", arith, booleans)
+
+    # -- the theory hook (called by the SAT core during solve) ---------------
+
+    def check_theory(self, trail: List[int], level_starts: List[int]) -> Optional[List[int]]:
+        """Assert the bounds of the trail literals not yet seen, then run
+        the simplex check.
+
+        Returns None when the bounds are feasible, else the theory lemma
+        (the negated conflict set, logged with its Farkas entries first
+        when recording a proof).  Theory lemmas are valid independently
+        of any scope, so they persist across pops.
+        """
+        head = self._head
+        starts = self._level_starts
+        simplex = self._simplex
+        plans = self._atom_plan
+        try:
+            while head < len(trail):
+                while len(starts) < len(level_starts) and level_starts[len(starts)] <= head:
+                    simplex.push_state()
+                    starts.append(level_starts[len(starts)])
+                literal = trail[head]
+                plan = plans.get(literal if literal > 0 else -literal)
+                if plan is not None:
+                    self._stale = True
+                    name, pos_upper, pos_lower, neg_upper, neg_lower = plan
+                    if literal > 0:
+                        if pos_upper is not None:
+                            simplex.assert_upper(name, pos_upper, literal)
+                        if pos_lower is not None:
+                            simplex.assert_lower(name, pos_lower, literal)
+                    else:
+                        if neg_upper is not None:
+                            simplex.assert_upper(name, neg_upper, literal)
+                        if neg_lower is not None:
+                            simplex.assert_lower(name, neg_lower, literal)
+                head += 1
+            if self._stale:
+                simplex.check()
+                self._stale = False
+            return None
+        except Infeasible as err:
+            lemma = [-tag for tag in err.conflict if isinstance(tag, int)]
+            if self._proof is not None:
+                self._proof.append(("lemma", tuple(lemma), self._farkas_entries(err.farkas)))
+            return lemma
+        finally:
+            self._head = head
+
+    def backtrack(self, level: int) -> None:
+        """Pop the simplex back to decision ``level``."""
+        starts = self._level_starts
+        if len(starts) > level:
+            self._head = min(self._head, starts[level])
+            for _ in range(len(starts) - level):
+                self._simplex.pop_state()
+            del starts[level:]
 
     # -- helpers ---------------------------------------------------------------
 
@@ -375,9 +402,9 @@ class SMTSolver:
         return plan
 
 
-def check_formulas(*assertions: F.Formula, max_rounds: int = 100_000) -> SatResult:
+def check_formulas(*assertions: F.Formula) -> SatResult:
     """Convenience: check the conjunction of ``assertions``."""
-    solver = SMTSolver(max_rounds=max_rounds)
+    solver = SMTSolver()
     for node in assertions:
         solver.add(node)
     return solver.check()

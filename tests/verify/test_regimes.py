@@ -63,6 +63,21 @@ class TestUnrollRegime:
         outcome = verify_target(spec.target(), unroll_config(spec, {"N": 1}))
         assert outcome.verified
 
+    def test_num_svt_search_effort(self):
+        # The online DPLL(T) loop checks the theory inside one SAT search
+        # per query.  The limits sit 10x below the offline loop's counts
+        # (972 rounds, ~185k decisions, ~380k bound assertions), for any
+        # hash seed.
+        spec = get("num_svt")
+        config = unroll_config(spec)
+        config.profile = True
+        outcome = verify_target(spec.target(), config)
+        assert outcome.verified
+        profile = outcome.profile
+        assert profile["rounds"] == profile["solve_calls"] > 0
+        assert profile["decisions"] < 18_000
+        assert profile["bound_asserts"] < 38_000
+
 
 class TestInvariantRegime:
     @pytest.mark.parametrize("name", CORRECT)
