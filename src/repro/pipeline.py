@@ -75,7 +75,7 @@ class StageResult:
     the solver) and ``solver_cache_hits`` how many of those were answered
     from the shared query cache.  ``solver_stats`` carries the full
     incremental-solver counter set (solve calls, context pushes/pops,
-    discharge parallelism) for stages that report it.
+    discharge units) for stages that report it.
     """
 
     stage: str
@@ -211,11 +211,9 @@ def source_hash(source: str) -> str:
 def _config_fingerprint(config: VerificationConfig) -> str:
     """A stable cache key component for a verification configuration.
 
-    Solver-strategy settings (``incremental``, ``jobs``) are part of the
-    key even though they cannot change the verdict: a rerun requested
-    with different solver settings is usually after the *statistics*
-    (cache hits, solve calls, parallel speedup), which a memoized
-    artifact from a different strategy would silently misreport.
+    Reporting settings (``collect_models``, ``profile``) are part of the
+    key even though they cannot change the verdict: a memoized artifact
+    run without them would silently omit what the rerun asked for.
     """
     return repr(
         (
@@ -226,9 +224,6 @@ def _config_fingerprint(config: VerificationConfig) -> str:
             config.extra_invariants,
             config.use_lemmas,
             config.collect_models,
-            config.incremental,
-            config.jobs,
-            getattr(config.backend, "name", config.backend),
             config.fail_fast,
             config.profile,
             # The persistent store changes what a run *does* (lookups,

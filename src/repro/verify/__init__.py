@@ -9,12 +9,11 @@ of the source program (Theorem 2).  This package provides:
   loop treatments: full unrolling under concrete loop bounds (BMC / the
   paper's "fix ε" regime) and invariant-based Hoare reasoning (the
   paper's manually-supplied-invariant regime).
-* :mod:`repro.verify.discharge` — the first-class discharge API:
+* :mod:`repro.verify.discharge` — the discharge API:
   :class:`DischargePlan` partitions the obligation stream into
-  independent, addressable work units; pluggable
-  :class:`DischargeBackend`\\ s (serial / threaded / one-shot /
-  cache-wrapped) schedule them with a deterministic per-unit merge; a
-  typed :class:`DischargeEvent` stream reports progress.
+  addressable work units, :class:`DischargeEngine` solves one unit
+  under a pushed solver context, and a typed :class:`DischargeEvent`
+  stream reports progress.
 * :mod:`repro.verify.lemmas` — instantiation lemmas relating monomial
   atoms (sign propagation and multiplication monotonicity), standing in
   for the nonlinear reasoning the paper obtains by rewriting programs.
@@ -33,16 +32,10 @@ from repro.verify.verifier import (
 )
 from repro.verify.vcgen import Obligation, Provenance, VCGenerator
 from repro.verify.discharge import (
-    CachedBackend,
-    DischargeBackend,
     DischargeEvent,
     DischargePlan,
     DischargeUnit,
-    OneShotBackend,
-    SerialBackend,
-    ThreadedBackend,
     event_kind,
-    resolve_backend,
 )
 from repro.verify.houdini import HoudiniResult, infer_invariants
 
@@ -55,16 +48,10 @@ __all__ = [
     "Obligation",
     "Provenance",
     "VCGenerator",
-    "CachedBackend",
-    "DischargeBackend",
     "DischargeEvent",
     "DischargePlan",
     "DischargeUnit",
-    "OneShotBackend",
-    "SerialBackend",
-    "ThreadedBackend",
     "event_kind",
-    "resolve_backend",
     "HoudiniResult",
     "infer_invariants",
 ]

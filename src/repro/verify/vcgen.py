@@ -117,8 +117,8 @@ class Obligation:
 
         Derived from the logical content only (tag, label, goal, path) —
         node reprs are structural and position-free — so the id is
-        identical across runs, processes, backends and job counts, and
-        two obligations with the same logical content share one id.
+        identical across runs and processes, and two obligations with
+        the same logical content share one id.
         """
         payload = f"{self.tag}|{self.label!r}|{self.goal!r}|{self.path!r}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
@@ -166,6 +166,12 @@ class VCGenerator(StatementVisitor):
     _iteration: Optional[int] = None
     _pending: List[Obligation] = field(default_factory=list)
     _final_state: Optional[State] = None
+
+    def __post_init__(self) -> None:
+        # A negative budget would never reach the ``budget == 0``
+        # completeness obligation, so a symbolic loop would unroll forever.
+        if self.unroll_limit < 0:
+            raise ValueError(f"unroll_limit must be >= 0, got {self.unroll_limit}")
 
     # -- public API ------------------------------------------------------------
 

@@ -7,16 +7,16 @@ program and proves that no assertion — in particular the final
 adjacency precondition.  By Theorem 2 this establishes ε-differential
 privacy of the source program.
 
-The discharge machinery itself is the first-class API in
+The discharge machinery itself is the API in
 :mod:`repro.verify.discharge`: the symbolic executor streams
 :class:`~repro.verify.vcgen.Obligation`\\ s with provenance, a
 :class:`~repro.verify.discharge.DischargePlan` partitions the stream
-into addressable units, and a :class:`DischargeBackend` (serial /
-threaded / one-shot, optionally cache-wrapped) schedules them while
-emitting a typed :class:`DischargeEvent` stream.  This module wires a
-:class:`VerificationConfig` to that API and keeps the legacy
-:class:`ObligationChecker` surface (``check`` / ``check_all``) on top
-of it.
+into addressable units, and :meth:`ObligationChecker.discharge_stream`
+discharges them one after another in plan order — the only discharge
+path — while emitting a typed :class:`DischargeEvent` stream.  This
+module wires a :class:`VerificationConfig` to that API and keeps the
+legacy :class:`ObligationChecker` surface (``check`` / ``check_all``)
+on top of it.
 
 Three regimes mirror the paper's Table 1 columns:
 
@@ -53,7 +53,6 @@ from repro.solver import intern
 from repro.solver.context import QueryCache
 from repro.target.transform import TargetProgram
 from repro.verify.discharge import (
-    DischargeBackend,
     DischargeEngine,
     DischargePlan,
     DischargeUnit,
@@ -62,9 +61,6 @@ from repro.verify.discharge import (
     ObligationDischarged,
     ObligationFailure,
     ObligationRefuted,
-    _LockedSink,
-    effective_jobs,
-    resolve_backend,
 )
 from repro.verify.store import ObligationStore, resolve_store
 from repro.verify.vcgen import Obligation, VCGenerator
@@ -83,18 +79,12 @@ class VerificationConfig:
     ``{"size": 5, "N": 1, "eps": 1}``) before execution — the paper's
     "fix ε" regime and the way loops become boundedly unrollable.
     ``assumptions`` are extra premises about the (remaining symbolic)
-    parameters, e.g. ``eps > 0``.
+    parameters, e.g. ``eps > 0``.  ``unroll_limit`` (≥ 0) bounds loop
+    unrolling when a loop bound stays symbolic.
 
-    Discharge strategy: ``backend`` names one explicitly ("serial",
-    "threaded", "oneshot", or a ready
-    :class:`~repro.verify.discharge.DischargeBackend` instance); when
-    None the legacy knobs decide — ``incremental`` groups obligations
-    into path-prefix units under pushed solver contexts, ``jobs > 1``
-    schedules units on a worker pool.  Any backend and job count
-    produces identical verdicts, obligation ids and solve counts; the
-    solver is pure Python, so on a stock GIL build thread workers
-    interleave rather than run concurrently.  ``fail_fast`` stops
-    scheduling work units after the first refutation.
+    Obligations are grouped into path-prefix units and discharged under
+    pushed solver contexts, one unit after another in plan order.
+    ``fail_fast`` stops discharging after the first refutation.
     """
 
     mode: str = "unroll"  # "unroll" | "invariant"
@@ -104,9 +94,6 @@ class VerificationConfig:
     extra_invariants: Tuple[ast.Expr, ...] = ()
     use_lemmas: bool = True
     collect_models: bool = True
-    incremental: bool = True
-    jobs: int = 1
-    backend: Optional[Union[str, DischargeBackend]] = None
     fail_fast: bool = False
     #: Attach the inner-loop :class:`SolverProfile` counters (pivots,
     #: propagations, conflicts, restarts, interned-node hits…) to the
@@ -145,9 +132,9 @@ class VerificationOutcome:
     ``solve_calls`` the DPLL(T) solves actually executed (each refuted
     obligation costs exactly one — the countermodel comes from the
     refuting solve).  ``context_pushes``/``context_pops`` count
-    incremental scope traffic; ``jobs``/``backend``/``units`` record
-    the discharge schedule used, and ``early_exit`` whether
-    ``fail_fast`` stopped it before the full plan ran.
+    incremental scope traffic; ``units`` counts the discharge units
+    run, and ``early_exit`` records whether ``fail_fast`` (or
+    cancellation) stopped discharge before the full plan ran.
     """
 
     verified: bool
@@ -159,8 +146,6 @@ class VerificationOutcome:
     solve_calls: int = 0
     context_pushes: int = 0
     context_pops: int = 0
-    jobs: int = 1
-    backend: str = "serial"
     units: int = 0
     early_exit: bool = False
     #: Inner-loop counters (see :class:`SolverProfile`), attached when the
@@ -174,16 +159,6 @@ class VerificationOutcome:
     #: Persistent-store traffic for this run (hits/misses/writes/invalid
     #: plus the entry count), when a store was configured.
     store: Optional[Dict[str, int]] = None
-    #: Raw per-worker solve totals from a process-backend run.  These
-    #: are schedule-dependent by nature; the merged counters above are
-    #: the schedule-invariant view.
-    workers: Optional[Dict[str, Dict[str, int]]] = None
-    #: Supervision report from a process-backend run that survived
-    #: worker failures (pool restarts, retries, serially re-solved
-    #: units, incident causes).  None on clean runs — the verdict
-    #: fields above are byte-identical to serial either way; only this
-    #: report records that recovery happened.
-    recovery: Optional[Dict[str, object]] = None
     #: How many proof certificates the run collected (fresh emissions
     #: plus validated warm hits).  None when witnesses were off.
     witnesses: Optional[int] = None
@@ -205,18 +180,12 @@ class VerificationOutcome:
             "solve_calls": self.solve_calls,
             "pushes": self.context_pushes,
             "pops": self.context_pops,
-            "jobs": self.jobs,
-            "backend": self.backend,
             "units": self.units,
         }
         if self.profile is not None:
             stats["profile"] = dict(self.profile)
         if self.store is not None:
             stats["store"] = dict(self.store)
-        if self.workers is not None:
-            stats["workers"] = {pid: dict(row) for pid, row in self.workers.items()}
-        if self.recovery is not None:
-            stats["recovery"] = dict(self.recovery)
         if self.witnesses is not None:
             stats["witnesses"] = self.witnesses
         return stats
@@ -271,25 +240,18 @@ def bind_command(cmd: ast.Command, bindings: Dict[str, Fraction]) -> ast.Command
 class ObligationChecker(DischargeEngine):
     """The configured discharge engine plus the legacy checking surface.
 
-    Strategy selection (see :func:`repro.verify.discharge.resolve_backend`):
+    :meth:`discharge_stream` is the discharge path: obligations are
+    grouped into path-prefix units; each unit's premises (assumptions +
+    path base) are asserted once into a :class:`SolverContext` and
+    every member is checked under one pushed scope, goals conjoined
+    with model-guided refinement.  :meth:`check` is the reference: a
+    fresh solver per query.
 
-    * **serial** (default) — obligations are grouped into path-prefix
-      units; each unit's premises (assumptions + path base) are
-      asserted once into a :class:`SolverContext` and every member is
-      checked under one pushed scope, goals conjoined with model-guided
-      refinement.
-    * **threaded** — independent units are discharged on a worker pool
-      (``jobs`` workers) sharing one single-flight :class:`QueryCache`;
-      results and counters merge deterministically by unit id.
-    * **oneshot** — ``incremental=False`` restores a fresh solver per
-      query (still single-solve and cache-backed).
-
-    All strategies are sound and agree on every genuine verdict.  The
-    conjoined check asserts the *union* of its chunk's premise
-    extensions — all valid facts — so it can additionally prove goals
-    the one-shot abstraction spuriously refutes (strictly more
-    complete, never less sound); refutations always come with a
-    concrete countermodel and are identical across strategies.
+    Both are sound and agree on every genuine verdict.  The conjoined
+    check asserts the *union* of its chunk's premise extensions — all
+    valid facts — so it can additionally prove goals the per-obligation
+    check spuriously refutes (strictly more complete, never less
+    sound); refutations always come with a concrete countermodel.
     """
 
     # -- discharge -------------------------------------------------------------
@@ -303,7 +265,6 @@ class ObligationChecker(DischargeEngine):
         obligations,
         skip: Optional[Callable[[Obligation], bool]] = None,
         on_failure: Optional[Callable[[Obligation], None]] = None,
-        batch: bool = True,
         emit: EventSink = None,
         fail_fast: bool = False,
     ) -> List[ObligationFailure]:
@@ -312,10 +273,10 @@ class ObligationChecker(DischargeEngine):
         ``skip`` is consulted just before each obligation is checked and
         ``on_failure`` fires as refutations are found — together they let
         Houdini prune a candidate's remaining obligations mid-batch
-        (``skip`` implies per-obligation discharge).  ``batch`` enables
-        conjoined unit discharge.  ``emit`` receives the typed
-        :class:`DischargeEvent` stream; ``fail_fast`` stops scheduling
-        units after the first refutation.
+        (``skip`` implies per-obligation discharge; otherwise each unit
+        is discharged conjoined).  ``emit`` receives the typed
+        :class:`DischargeEvent` stream; ``fail_fast`` stops after the
+        unit holding the first refutation.
 
         With a persistent store configured (and no Houdini-style
         callbacks, whose verdicts are about *candidates*, not the
@@ -325,44 +286,33 @@ class ObligationChecker(DischargeEngine):
         discharge as usual, and a clean complete run writes its fresh
         verdicts back in one transaction.
         """
-        backend = resolve_backend(self.incremental, self.jobs, self.backend_choice)
-        if (
-            emit is not None
-            and effective_jobs(backend) > 1
-            and not isinstance(emit, _LockedSink)
-        ):
-            # Plan events (main thread) and unit events (workers) go
-            # through one serialized writer; single-threaded backends
-            # skip the lock.
-            emit = _LockedSink(emit)
         store = self.store if (skip is None and on_failure is None) else None
         #: store-refuted obligations, keyed by original stream index.
         store_failures: Dict[int, ObligationFailure] = {}
         #: filtered position → original stream index, for re-keying.
         kept: List[int] = []
-        units_seen: List[DischargeUnit] = []
         if store is not None:
             obligations = self._store_filter(
                 obligations, store, store_failures, kept, emit, fail_fast
             )
         units = DischargePlan.stream_units(obligations, emit=emit)
-        if store is not None:
-            units = _remember_units(units, units_seen)
         results: Dict[int, ObligationFailure] = {}
-        accounts = backend.run(
-            self,
-            units,
-            results,
-            skip=skip,
-            on_failure=on_failure,
-            emit=emit,
-            batch=batch,
-            fail_fast=fail_fast,
-        )
-        self.units_run += len(accounts)
-        self.merge_accounts(accounts)
+        completed: List[DischargeUnit] = []
+        for unit in units:
+            stats, profile = self.discharge_unit(unit, results, skip, on_failure, emit)
+            self.stats.merge(stats)
+            self.profile.merge(profile)
+            completed.append(unit)
+            if fail_fast and results:
+                # Only an early exit if work actually remained.
+                if next(units, None) is not None:
+                    self.early_exited = True
+                    if emit is not None:
+                        emit(EarlyExit(unit.uid, "first refutation (fail-fast)"))
+                break
+        self.units_run += len(completed)
         if store is not None:
-            self._store_writeback(store, units_seen, accounts, results)
+            self._store_writeback(store, completed, results)
             # Solved obligations were renumbered by the filter; restore
             # original stream indices and fold in the store verdicts so
             # failure order matches the unfiltered stream.
@@ -452,8 +402,7 @@ class ObligationChecker(DischargeEngine):
     def _store_writeback(
         self,
         store: ObligationStore,
-        units_seen: List[DischargeUnit],
-        accounts,
+        completed: List[DischargeUnit],
         results: Dict[int, ObligationFailure],
     ) -> None:
         """Persist fresh verdicts from fully-discharged units.
@@ -465,11 +414,8 @@ class ObligationChecker(DischargeEngine):
         """
         if self.early_exited:
             return
-        completed = {index for index, _ in accounts}
         rows = []
-        for unit in units_seen:
-            if unit.index not in completed:
-                continue
+        for unit in completed:
             region = unit.region
             for member_index, obligation, _ in unit.members:
                 failure = results.get(member_index)
@@ -508,35 +454,12 @@ class ObligationChecker(DischargeEngine):
         obligations: Sequence[Obligation],
         skip: Optional[Callable[[Obligation], bool]] = None,
         on_failure: Optional[Callable[[Obligation], None]] = None,
-        batch: bool = True,
         emit: EventSink = None,
     ) -> List[ObligationFailure]:
         """Discharge a batch of obligations; failures in input order."""
         return self.discharge_stream(
-            obligations, skip=skip, on_failure=on_failure, batch=batch, emit=emit
+            obligations, skip=skip, on_failure=on_failure, emit=emit
         )
-
-    @property
-    def effective_backend(self) -> DischargeBackend:
-        """The backend this checker's configuration resolves to."""
-        return resolve_backend(self.incremental, self.jobs, self.backend_choice)
-
-    @property
-    def backend_name(self) -> str:
-        return self.effective_backend.name
-
-    @property
-    def effective_jobs(self) -> int:
-        """The discharge worker count actually used (env overrides and
-        explicit backend instances included), for honest accounting."""
-        return effective_jobs(self.effective_backend)
-
-
-def _remember_units(units, seen: List[DischargeUnit]):
-    """Tee the streamed units into ``seen`` (for store write-back)."""
-    for unit in units:
-        seen.append(unit)
-        yield unit
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +468,9 @@ def _remember_units(units, seen: List[DischargeUnit]):
 
 
 def prepare_generator(
-    target: TargetProgram, config: VerificationConfig
+    target: TargetProgram,
+    config: VerificationConfig,
+    cache: Optional[QueryCache] = None,
 ) -> Tuple[VCGenerator, ObligationChecker]:
     """The configured symbolic executor and checker for one run.
 
@@ -553,7 +478,8 @@ def prepare_generator(
     CLI's ``repro obligations`` listing: parameters are bound, the body
     CFG is built and constant guards are folded (statically-dead
     branches never generate obligations), and the checker carries Ψ,
-    the assumptions and the discharge strategy.
+    the assumptions and the query cache (a fresh one when ``cache`` is
+    None).
     """
     psi = _bind_psi(target.function.precondition, config.bindings)
     assumptions = [bind_expr(a, config.bindings) for a in config.assumptions]
@@ -569,9 +495,7 @@ def prepare_generator(
         assumptions,
         use_lemmas=config.use_lemmas,
         collect_models=config.collect_models,
-        incremental=config.incremental,
-        jobs=config.jobs,
-        backend=config.backend,
+        cache=cache,
         cancel_event=config.cancel_event,
         store=resolve_store(config.store),
         witness=config.witness,
@@ -614,9 +538,7 @@ def verify_target(
 
     ``cache`` is an optional shared :class:`QueryCache`; the pipeline
     passes one per batch so repeated obligations across programs,
-    bindings and Houdini rounds are answered once (the configured
-    backend is wrapped in a
-    :class:`~repro.verify.discharge.CachedBackend`).  ``on_event``
+    bindings and Houdini rounds are answered once.  ``on_event``
     receives the typed :class:`DischargeEvent` stream as units are
     scheduled and obligations discharged.
     """
@@ -624,13 +546,7 @@ def verify_target(
     start = time.perf_counter()
     intern_hits_before, intern_misses_before = intern.counters()
 
-    generator, checker = prepare_generator(target, config)
-    if cache is not None:
-        # Wrap the resolved backend so the shared cache is installed at
-        # discharge time — the CachedBackend composition path.
-        checker.backend_choice = resolve_backend(
-            checker.incremental, checker.jobs, checker.backend_choice, cache=cache
-        )
+    generator, checker = prepare_generator(target, config, cache)
     store_before = checker.store.snapshot() if checker.store is not None else None
     stream = generator.stream(target_cfg(target, config))
     failures = checker.discharge_stream(
@@ -664,15 +580,11 @@ def verify_target(
         solve_calls=stats.solve_calls,
         context_pushes=stats.pushes,
         context_pops=stats.pops,
-        jobs=checker.effective_jobs,
-        backend=checker.backend_name,
         units=checker.units_run,
         early_exit=checker.early_exited,
         profile=profile_dict,
         oids=[ob.oid for ob in generator.obligations],
         store=store_stats,
-        workers=checker.worker_report,
-        recovery=checker.recovery,
         witnesses=len(checker.certificates) if config.witness else None,
     )
 

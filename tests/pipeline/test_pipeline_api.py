@@ -209,6 +209,15 @@ class TestCLI:
         assert code == 0
         assert "check" in out and "verify" not in out
 
+    @pytest.mark.parametrize("command", ["verify", "pipeline"])
+    def test_negative_unroll_rejected(self, tmp_path, capsys, command):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, self._write(tmp_path, SVT), "--unroll", "-1"])
+        assert exit_info.value.code != 0
+        assert "--unroll" in capsys.readouterr().err
+
     def test_pipeline_subcommand_buggy_exit_code(self, tmp_path, capsys):
         from repro.cli import main
 

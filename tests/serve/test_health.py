@@ -6,15 +6,7 @@ import time
 
 import pytest
 
-from repro import faults
 from repro.serve import ServeClient, ServeError, ServerThread, protocol
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults():
-    yield
-    faults.install(None)
-    faults.reset()
 
 
 class TestHealth:
@@ -29,27 +21,6 @@ class TestHealth:
                 assert health["uptime_seconds"] >= 0
                 assert health["inflight"] == 0
                 assert health["max_queue"] >= 1
-
-    def test_health_degraded_after_worker_pool_restart(self, tmp_path):
-        sock = str(tmp_path / "serve.sock")
-        faults.install("worker-kill@*")
-        with ServerThread(socket_path=sock) as st:
-            with ServeClient(socket_path=sock) as client:
-                result = client.verify(
-                    spec="svt", config={"backend": "process", "jobs": 2}
-                )
-                assert result["outcome"]["verified"] is True
-                recovery = result["outcome"]["counters"]["recovery"]
-                assert recovery["pool_restarts"] >= 1
-
-                health = client.health()
-                assert health["status"] == "degraded"
-                assert any("worker-pool" in c for c in health["causes"])
-
-            # Incidents age out of the degradation window.
-            st.server.degraded_window = 0.0
-            with ServeClient(socket_path=sock) as client:
-                assert client.health()["status"] == "ok"
 
     def test_health_degraded_when_store_is_memory_only(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -75,22 +46,33 @@ class TestHealth:
                     st.server._draining = False
 
 
+def _hold_verifies(server, release: threading.Event) -> None:
+    """Make every verify the server runs wait for ``release`` first, so
+    an admitted request stays in flight as long as the test needs."""
+    run = server.pipeline.run
+
+    def held(*args, **kwargs):
+        release.wait(60)
+        return run(*args, **kwargs)
+
+    server.pipeline.run = held
+
+
 class TestAdmissionControl:
     def test_overloaded_rejection_carries_retry_after(self, tmp_path):
         sock = str(tmp_path / "serve.sock")
-        faults.install("solve-delay@*:1.0")
         with ServerThread(
             socket_path=sock, max_concurrent=1, max_queue=1
         ) as st:
+            release = threading.Event()
+            _hold_verifies(st.server, release)
             done = threading.Event()
             errors = []
 
             def blocker():
                 try:
                     with ServeClient(socket_path=sock) as c:
-                        c.verify(
-                            spec="svt", config={"backend": "process", "jobs": 1}
-                        )
+                        c.verify(spec="svt")
                 except Exception as err:  # surfaces in the main thread
                     errors.append(err)
                 finally:
@@ -111,6 +93,7 @@ class TestAdmissionControl:
                 # The typed code is part of the protocol catalogue.
                 assert "overloaded" in protocol.ERROR_CODES
             finally:
+                release.set()
                 done.wait(60)
                 thread.join()
             assert not errors
@@ -118,16 +101,17 @@ class TestAdmissionControl:
 
     def test_client_retries_through_an_overloaded_window(self, tmp_path):
         sock = str(tmp_path / "serve.sock")
-        faults.install("solve-delay@*:0.5")
-        with ServerThread(socket_path=sock, max_concurrent=1, max_queue=1):
+        with ServerThread(socket_path=sock, max_concurrent=1, max_queue=1) as st:
+            release = threading.Event()
+            _hold_verifies(st.server, release)
+            # The blocker holds the only admission slot for half a second.
+            threading.Timer(0.5, release.set).start()
             done = threading.Event()
 
             def blocker():
                 try:
                     with ServeClient(socket_path=sock) as c:
-                        c.verify(
-                            spec="svt", config={"backend": "process", "jobs": 1}
-                        )
+                        c.verify(spec="svt")
                 finally:
                     done.set()
 

@@ -71,6 +71,7 @@ def test_check_client_hello_accepts_current_protocol():
         {"type": "hello"},
         {"type": "hello", "protocol": protocol.PROTOCOL_VERSION + 1},
         {"type": "hello", "protocol": "1"},
+        {"type": "hello", "protocol": 1},  # v1 clients may still send jobs/backend
     ],
 )
 def test_check_client_hello_rejects_mismatch(message):
@@ -96,18 +97,16 @@ def test_config_from_wire_rationals_and_assumptions():
         {
             "bindings": {"eps": "1/2", "size": 5},
             "assumptions": ["eps > 0"],
-            "jobs": 4,
-            "backend": "threaded",
+            "unroll_limit": 0,
             "fail_fast": True,
+            "witness": False,
         }
     )
     assert config.bindings == {"eps": Fraction(1, 2), "size": Fraction(5)}
     assert len(config.assumptions) == 1
-    assert config.jobs == 4
-    assert config.backend == "threaded"
+    assert config.unroll_limit == 0
     assert config.fail_fast is True
-    # The process backend is first-class on the wire too.
-    assert protocol.config_from_wire({"backend": "process"}).backend == "process"
+    assert config.witness is False
 
 
 def test_config_from_wire_merges_over_base():
@@ -132,6 +131,17 @@ def test_config_from_wire_merges_over_base():
         {"assumptions": ["eps >"]},
         {"backend": "quantum"},
         {"unroll_limit": "many"},
+        # Protocol 2 removed the discharge-strategy keys.
+        pytest.param({"jobs": 2}, id="jobs"),
+        pytest.param({"backend": "serial"}, id="backend"),
+        # Booleans must be JSON booleans, not truthy strings or numbers.
+        pytest.param({"witness": "false"}, id="witness-string"),
+        pytest.param({"fail_fast": "no"}, id="fail_fast-string"),
+        pytest.param({"fail_fast": 1}, id="fail_fast-int"),
+        # unroll_limit must be a non-bool integer >= 0.
+        pytest.param({"unroll_limit": 2.9}, id="unroll_limit-float"),
+        pytest.param({"unroll_limit": True}, id="unroll_limit-bool"),
+        pytest.param({"unroll_limit": -1}, id="unroll_limit-negative"),
     ],
 )
 def test_config_from_wire_rejects_bad_configs(data):

@@ -244,12 +244,12 @@ class TestVerify:
         assert after["misses"] == before["misses"]
 
     def test_warm_query_cache_across_configs(self, server):
-        """A re-verify under a different discharge strategy (new memo key,
-        same obligations) answers every query from the warm cache."""
+        """A re-verify under a different config (new memo key, same
+        obligations) answers every query from the warm cache."""
         _, sock = server
         with _connect(sock) as client:
             cold = client.verify(spec="svt")
-            warm = client.verify(spec="svt", config={"backend": "threaded", "jobs": 2})
+            warm = client.verify(spec="svt", config={"fail_fast": True})
         assert warm["cached"] is False  # distinct fingerprint: really re-ran
         counters = warm["outcome"]["counters"]
         assert counters["solve_calls"] == 0

@@ -2,11 +2,10 @@
 
 Covers: stable content-derived obligation ids (with snapshots pinned
 over registry programs), provenance records, discharge-plan
-partitioning, the backend-equivalence property (serial vs threaded for
-jobs ∈ {1, 2, 4} and the one-shot strategy produce identical verdicts,
-obligation ids and solve counts across the registry), the single-flight
-query cache that makes those counters deterministic, the typed event
-stream, fail-fast early exit, and the constant-guard folding pass.
+partitioning, agreement of the discharge path with the fresh-solver
+per-obligation reference across the whole registry in both regimes,
+the shared single-flight query cache, the typed event stream,
+fail-fast early exit, and the constant-guard folding pass.
 """
 
 import threading
@@ -15,30 +14,24 @@ import pytest
 
 from repro.algorithms import all_specs, get
 from repro.ir import ast_to_cfg, fold_constant_guards
-from repro.lang import ast
 from repro.lang.parser import parse_command
 from repro.pipeline import spec_config
 from repro.solver.context import CacheEntry, QueryCache
 from repro.verify.discharge import (
-    CachedBackend,
     DischargePlan,
     EarlyExit,
     ObligationDischarged,
     ObligationRefuted,
-    OneShotBackend,
     PlanProgress,
-    SerialBackend,
-    ThreadedBackend,
     UnitFinished,
     UnitStarted,
-    effective_jobs,
     event_kind,
-    resolve_backend,
 )
 from repro.verify.vcgen import VCGenerator
 from repro.verify.verifier import (
     VerificationConfig,
     iter_obligations,
+    prepare_generator,
     verify_target,
 )
 
@@ -187,129 +180,55 @@ class TestDischargePlan:
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence: the headline property
+# Agreement with the fresh-solver reference: the headline property
 # ---------------------------------------------------------------------------
 
 
-def _signature(outcome):
-    return (
-        outcome.verified,
-        sorted(f.obligation.oid for f in outcome.failures),
-        outcome.obligations_total,
-        outcome.solver_queries,
-        outcome.cache_hits,
-        outcome.solve_calls,
-        outcome.units,
+def _reference_failures(target, config):
+    """Failure oids from a per-obligation ``ObligationChecker.check``
+    loop over the obligation stream: a fresh solver per query, no unit
+    contexts, no conjoined goals."""
+    _, checker = prepare_generator(target, config)
+    return sorted(
+        ob.oid
+        for ob in iter_obligations(target, config)
+        if checker.check(ob) is not None
     )
 
 
+def _assert_matches_reference(target, config):
+    outcome = verify_target(target, config)
+    reference = _reference_failures(target, config)
+    assert sorted(f.obligation.oid for f in outcome.failures) == reference
+    assert outcome.verified == (not reference)
+    return outcome
+
+
 class TestBackendEquivalence:
-    """Serial and threaded (jobs ∈ {1, 2, 4}) discharge produce identical
-    verdicts, obligation ids, solve counts and cache hits — the
-    deterministic-parallelism requirement, over the full registry."""
+    """The unit-batched discharge path returns the same verdict and the
+    same failing obligations as checking every obligation on its own
+    with a fresh solver — for every registry spec in the unroll regime
+    and every correct spec in the invariant regime (the buggy variants
+    carry no invariants that regime could use)."""
 
     @pytest.mark.parametrize("name", [s.name for s in all_specs(include_buggy=False)])
     def test_invariant_regime_full_registry(self, name):
         spec = get(name)
         config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
-        reference = None
-        for backend in (SerialBackend(), ThreadedBackend(1), ThreadedBackend(2), ThreadedBackend(4)):
-            outcome = verify_target(
-                spec.target(),
-                VerificationConfig(
-                    mode=config.mode,
-                    assumptions=config.assumptions,
-                    backend=backend,
-                ),
-            )
-            signature = _signature(outcome)
-            if reference is None:
-                reference = signature
-            assert signature == reference, f"{name}: {backend.name} diverged"
+        _assert_matches_reference(spec.target(), config)
 
-    @pytest.mark.parametrize("name", ["svt", "bad_svt_no_budget"])
+    @pytest.mark.parametrize("name", [s.name for s in all_specs()])
     def test_unroll_regime(self, name):
         spec = get(name)
-        bindings = dict(spec.fixed_bindings)
-        bindings["size"] = 3
-        reference = None
-        for jobs in (1, 2, 4):
-            outcome = verify_target(
-                spec.target(),
-                VerificationConfig(
-                    mode="unroll",
-                    bindings=bindings,
-                    assumptions=spec.assumption_exprs(),
-                    unroll_limit=16,
-                    jobs=jobs,
-                    backend="threaded" if jobs > 1 else "serial",
-                ),
-            )
-            signature = _signature(outcome)
-            if reference is None:
-                reference = signature
-            assert signature == reference, f"{name}: jobs={jobs} diverged"
-        assert (name == "svt") == reference[0]
+        outcome = _assert_matches_reference(spec.target(), spec_config(spec))
+        assert outcome.verified == spec.expect_verified
 
-    def test_oneshot_agrees_on_verdicts(self):
-        spec = get("bad_svt_no_budget")
-        config = spec_config(spec)
-        serial = verify_target(spec.target(), config)
-        oneshot = verify_target(
-            spec.target(),
-            VerificationConfig(
-                mode=config.mode,
-                bindings=config.bindings,
-                assumptions=config.assumptions,
-                unroll_limit=config.unroll_limit,
-                backend=OneShotBackend(),
-            ),
-        )
-        assert oneshot.backend == "oneshot"
-        assert serial.verified == oneshot.verified
-        assert sorted(f.obligation.oid for f in serial.failures) == sorted(
-            f.obligation.oid for f in oneshot.failures
-        )
-
-    def test_resolve_backend_from_legacy_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_VERIFY_BACKEND", raising=False)
-        assert resolve_backend(True, 1).name == "serial"
-        assert resolve_backend(True, 4).name == "threaded"
-        assert resolve_backend(False, 1).name == "oneshot"
-        assert resolve_backend(True, 1, "threaded").name == "threaded"
-        with pytest.raises(ValueError):
-            resolve_backend(True, 1, "quantum")
-
-    def test_jobs_env_var_raises_default_parallelism(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_JOBS", "2")
-        monkeypatch.delenv("REPRO_VERIFY_BACKEND", raising=False)
-        assert resolve_backend(True, 1).name == "threaded"
-        assert effective_jobs(resolve_backend(True, 1)) == 2
-        # Explicit choices and explicit job counts are not overridden.
-        assert resolve_backend(True, 1, "serial").name == "serial"
-        assert resolve_backend(False, 1).name == "oneshot"
-
-    def test_effective_jobs_unwraps_cached_backend(self):
-        assert effective_jobs(SerialBackend()) == 1
-        assert effective_jobs(ThreadedBackend(4)) == 4
-        assert effective_jobs(CachedBackend(ThreadedBackend(4))) == 4
-        assert effective_jobs(CachedBackend(OneShotBackend())) == 1
-
-    def test_cached_backend_shares_cache_across_runs(self):
+    def test_shared_cache_answers_repeat_runs(self):
         spec = get("svt")
-        base = spec_config(spec)
-        config = VerificationConfig(
-            mode=base.mode,
-            bindings=base.bindings,
-            assumptions=base.assumptions,
-            unroll_limit=base.unroll_limit,
-            backend="serial",  # pinned: REPRO_VERIFY_JOBS must not retarget this
-        )
+        config = spec_config(spec)
         cache = QueryCache()
         first = verify_target(spec.target(), config, cache=cache)
         second = verify_target(spec.target(), config, cache=cache)
-        assert first.backend == "cached+serial" == second.backend
         assert first.verified and second.verified
         assert first.solve_calls > 0
         # Every query of the second run is answered from the first run's
@@ -317,25 +236,9 @@ class TestBackendEquivalence:
         assert second.solve_calls == 0
         assert second.cache_hits == second.solver_queries
 
-    def test_outcome_reports_effective_jobs(self):
-        spec = get("svt")
-        config = spec_config(spec)
-        outcome = verify_target(
-            spec.target(),
-            VerificationConfig(
-                mode=config.mode,
-                bindings=config.bindings,
-                assumptions=config.assumptions,
-                unroll_limit=config.unroll_limit,
-                backend=ThreadedBackend(3),
-            ),
-        )
-        assert outcome.backend == "threaded"
-        assert outcome.jobs == 3
-
 
 # ---------------------------------------------------------------------------
-# Single-flight cache: the determinism lever
+# Single-flight cache: shared by serve's worker threads
 # ---------------------------------------------------------------------------
 
 

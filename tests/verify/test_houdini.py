@@ -1,5 +1,5 @@
 """Unit tests for Houdini: loop peeling, round convergence, and the
-equivalence of the discharge strategies (serial / incremental / parallel)."""
+agreement of the discharge path with the per-obligation reference."""
 
 import pytest
 
@@ -8,7 +8,12 @@ from repro.lang import ast
 from repro.lang.parser import parse_expr
 from repro.target.transform import COST_VAR, TargetProgram
 from repro.verify.houdini import default_candidates, infer_invariants, peel_loops
-from repro.verify.verifier import VerificationConfig, verify_target
+from repro.verify.verifier import (
+    VerificationConfig,
+    iter_obligations,
+    prepare_generator,
+    verify_target,
+)
 
 
 def _loop(cond="i < 3", body="x"):
@@ -103,58 +108,51 @@ class TestHoudiniRounds:
         assert len(pool) == len(set(pool))
 
 
+def _unroll_config(spec):
+    return VerificationConfig(
+        mode="unroll",
+        bindings=dict(spec.fixed_bindings),
+        assumptions=spec.assumption_exprs(),
+        unroll_limit=16,
+    )
+
+
+def _reference_failures(spec, config):
+    """Per-obligation discharge with a fresh solver per query."""
+    target = spec.target()
+    _, checker = prepare_generator(target, config)
+    failures = [checker.check(ob) for ob in iter_obligations(target, config)]
+    return [f for f in failures if f is not None]
+
+
 class TestDischargeStrategyEquivalence:
-    """Serial one-shot, incremental grouped, and parallel discharge must
-    return identical verdicts and identical failing obligations."""
+    """Unit-batched discharge and the per-obligation fresh-solver
+    reference must return identical verdicts and identical failing
+    obligations."""
 
     @pytest.mark.parametrize("name", ["bad_svt_no_budget", "bad_svt_no_threshold_noise"])
     def test_buggy_refutations_agree(self, name):
         spec = get(name)
-        outcomes = {}
-        for label, kwargs in {
-            "serial": dict(incremental=False),
-            "incremental": dict(incremental=True),
-            "parallel": dict(incremental=True, jobs=4),
-        }.items():
-            config = VerificationConfig(
-                mode="unroll",
-                bindings=dict(spec.fixed_bindings),
-                assumptions=spec.assumption_exprs(),
-                unroll_limit=16,
-                **kwargs,
-            )
-            outcomes[label] = verify_target(spec.target(), config)
-        failed = {
-            label: sorted(f.obligation.describe() for f in outcome.failures)
-            for label, outcome in outcomes.items()
-        }
-        assert failed["serial"] == failed["incremental"] == failed["parallel"]
-        assert all(not outcome.verified for outcome in outcomes.values())
-        for outcome in outcomes.values():
-            assert all(f.arith_model is not None for f in outcome.failures)
+        config = _unroll_config(spec)
+        outcome = verify_target(spec.target(), config)
+        reference = _reference_failures(spec, config)
+        assert not outcome.verified and reference
+        assert sorted(f.obligation.describe() for f in outcome.failures) == sorted(
+            f.obligation.describe() for f in reference
+        )
+        for failure in outcome.failures + reference:
+            assert failure.arith_model is not None
 
     def test_correct_algorithm_agrees(self):
         spec = get("svt")
-        for kwargs in (dict(incremental=False), dict(incremental=True, jobs=2)):
-            config = VerificationConfig(
-                mode="unroll",
-                bindings=dict(spec.fixed_bindings),
-                assumptions=spec.assumption_exprs(),
-                unroll_limit=16,
-                **kwargs,
-            )
-            outcome = verify_target(spec.target(), config)
-            assert outcome.verified, outcome.describe()
+        config = _unroll_config(spec)
+        outcome = verify_target(spec.target(), config)
+        assert outcome.verified, outcome.describe()
+        assert _reference_failures(spec, config) == []
 
     def test_refuted_check_is_single_solve(self):
         spec = get("bad_svt_no_budget")
-        config = VerificationConfig(
-            mode="unroll",
-            bindings=dict(spec.fixed_bindings),
-            assumptions=spec.assumption_exprs(),
-            unroll_limit=16,
-        )
-        outcome = verify_target(spec.target(), config)
+        outcome = verify_target(spec.target(), _unroll_config(spec))
         assert not outcome.verified
         # Every failure got its model from the refuting solve: solve
         # calls never exceed queries (the pre-PR code solved twice).

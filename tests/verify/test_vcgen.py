@@ -66,6 +66,14 @@ class TestSymbolicExecution:
         gen, _, _ = run("i := 0; while (i < 10) { i := i + 1; }", unroll_limit=2)
         assert any(ob.tag == "unroll" for ob in gen.obligations)
 
+    def test_negative_unroll_limit_rejected(self):
+        # A negative budget would never reach the completeness obligation
+        # at budget 0, so a loop with a symbolic bound would never end.
+        with pytest.raises(ValueError):
+            VCGenerator(unroll_limit=-1)
+        with pytest.raises(ValueError):
+            run("havoc n; i := 0; while (i < n) { i := i + 1; }", unroll_limit=-1)
+
     def test_sample_rejected(self):
         with pytest.raises(VCGenError):
             run("eta := Lap(1), aligned, 0;")

@@ -3,8 +3,7 @@
 * emission is observationally free — verdicts and every solver counter
   are identical with witnesses on and off, in both regimes;
 * every valid obligation of every Table-1 algorithm yields a
-  certificate, and every certificate passes the trusted validator;
-* the contract holds off the serial path too (process backend).
+  certificate, and every certificate passes the trusted validator.
 """
 
 import dataclasses
@@ -33,8 +32,8 @@ def _counters(outcome):
     )
 
 
-def _run(spec, witness, **overrides):
-    config = dataclasses.replace(spec_config(spec), witness=witness, **overrides)
+def _run(spec, witness):
+    config = dataclasses.replace(spec_config(spec), witness=witness)
     return verify_target(spec.target(), config)
 
 
@@ -88,10 +87,3 @@ class TestEveryCertificateValidates:
         assert set(checker.certificates) == oids
         for certificate in checker.certificates.values():
             validate(certificate)
-
-    def test_process_backend_matches_serial(self):
-        spec = get("svt")
-        serial = _run(spec, witness=True)
-        process = _run(spec, witness=True, backend="process", jobs=2)
-        assert process.verified
-        assert process.witnesses == serial.witnesses == serial.obligations_total
