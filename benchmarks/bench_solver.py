@@ -1,24 +1,19 @@
-"""Solver-stack benchmark: incremental discharge vs the pre-PR baseline.
+"""Solver-stack benchmark: obligation discharge over the registry.
 
 Measures, over the registry algorithms, the cost of discharging all
-verification obligations two ways:
+verification obligations through the one discharge path: obligations
+grouped by shared path prefix, each group discharged under one pushed
+:class:`SolverContext` (conjoined goals, model-guided refinement),
+refuted checks returning their model from the refuting solve, and one
+normalized-query :class:`QueryCache` shared across the whole sweep.
 
-* **baseline** — a faithful replica of the pre-incremental solver layer:
-  a fresh ``Encoder`` + ``SMTSolver`` per query, raw-AST cache keys
-  (alpha-trivial duplicates miss), every refuted ``is_valid`` re-encoded
-  and re-solved a second time by ``find_model``, obligations strictly
-  serial, no state shared between Houdini rounds or the final
-  verification.
-* **incremental** — the current stack: obligations grouped by shared
-  path prefix, each group discharged under one pushed
-  :class:`SolverContext` (conjoined goals, model-guided refinement),
-  refuted checks returning their model from the refuting solve, and one
-  normalized-query :class:`QueryCache` shared across the whole sweep.
-
-Reported per workload and in total: entailment queries asked, DPLL(T)
-solve calls actually executed, simplex pivots (incremental side),
-queries per second, and wall-clock time.  A separate **microbench**
-section exercises the inner loops in isolation: term-layer interning
+Reported per workload and in total: entailment queries asked, cache
+hits, DPLL(T) solve calls actually executed, simplex pivots, queries
+per second and wall-clock time; plus a cold/warm persistent-store
+sweep and the cost of proof-certificate emission and revalidation.
+``BENCH_solver.json`` keeps earlier releases' numbers under
+``history`` for comparison.  A separate **microbench** section
+exercises the inner loops in isolation: term-layer interning
 throughput, simplex pivoting on a difference chain, and CDCL
 propagation on a planted 3-SAT instance.
 
@@ -49,158 +44,23 @@ import random
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.lang import ast
 from repro.solver import formula as F
 from repro.solver import intern
 from repro.solver.delta import DeltaRat
-from repro.solver.encode import Encoder
 from repro.solver.linear import LinExpr
 from repro.solver.profile import SolverProfile
 from repro.solver.sat import CDCLSolver
 from repro.solver.simplex import Simplex
-from repro.solver.smt import SMTSolver
 from repro.solver.context import QueryCache
 from repro.target.transform import TargetProgram
-from repro.verify.houdini import default_candidates, infer_invariants, peel_loops
-from repro.verify.vcgen import VCGenerator
-from repro.verify.verifier import (
-    ObligationChecker,
-    VerificationConfig,
-    _bind_psi,
-    bind_command,
-    bind_expr,
-    verify_target,
-)
+from repro.verify.houdini import infer_invariants
+from repro.verify.verifier import VerificationConfig, verify_target
 
 from repro.algorithms import all_specs, get
 from repro.pipeline import spec_config
-
-
-# ---------------------------------------------------------------------------
-# The pre-PR baseline, replicated
-# ---------------------------------------------------------------------------
-
-
-class LegacyValidityChecker:
-    """The seed-era validity interface: raw keys, double-solve refutations."""
-
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple, bool] = {}
-        self.queries = 0
-        self.cache_hits = 0
-        self.solve_calls = 0
-
-    def _solve(self, goal: ast.Expr, premises: Tuple[ast.Expr, ...]):
-        self.solve_calls += 1
-        encoder = Encoder()
-        solver = SMTSolver()
-        for premise in premises:
-            solver.add(encoder.boolean(premise))
-        solver.add(F.mk_not(encoder.boolean(goal)))
-        return solver.check()
-
-    def is_valid(self, goal: ast.Expr, premises: Iterable[ast.Expr] = ()) -> bool:
-        premises = tuple(premises)
-        key = (goal, premises)
-        self.queries += 1
-        if key in self._cache:
-            self.cache_hits += 1
-            return self._cache[key]
-        answer = self._solve(goal, premises).is_unsat
-        self._cache[key] = answer
-        return answer
-
-    def find_model(self, goal: ast.Expr, premises: Iterable[ast.Expr] = ()):
-        # The pre-PR find_model had no cache: always a full second solve.
-        result = self._solve(goal, tuple(premises))
-        if result.is_unsat:
-            return None
-        return result.arith_model, result.bool_model
-
-
-class LegacyObligationChecker(ObligationChecker):
-    """Serial, one-shot discharge with the solve-twice refutation path."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.legacy_validity = LegacyValidityChecker()
-
-    def check(self, obligation):
-        premises = self.premises_for(obligation)
-        if self.legacy_validity.is_valid(obligation.goal, premises):
-            return None
-        if not self.collect_models:
-            return self._failure(obligation, False, None)
-        model = self.legacy_validity.find_model(obligation.goal, premises)
-        if model is None:
-            return None
-        return self._failure(obligation, False, model)
-
-    def check_all(self, obligations, skip=None, on_failure=None):
-        failures = []
-        for obligation in obligations:
-            if skip is not None and skip(obligation):
-                continue
-            failure = self.check(obligation)
-            if failure is not None:
-                failures.append(failure)
-                if on_failure is not None:
-                    on_failure(obligation)
-        return failures
-
-
-def legacy_verify(target: TargetProgram, config: VerificationConfig):
-    """The pre-PR ``verify_target`` control flow, counter-instrumented."""
-    body = bind_command(target.body, config.bindings)
-    psi = _bind_psi(target.function.precondition, config.bindings)
-    assumptions = [bind_expr(a, config.bindings) for a in config.assumptions]
-    assumptions = [a for a in assumptions if a != ast.TRUE]
-
-    generator = VCGenerator(
-        unroll_limit=config.unroll_limit,
-        use_invariants=(config.mode == "invariant"),
-    )
-    generator.run(body)
-    checker = LegacyObligationChecker(psi, assumptions, use_lemmas=config.use_lemmas)
-    failures = checker.check_all(generator.obligations)
-    return failures, checker.legacy_validity
-
-
-def legacy_houdini(target: TargetProgram, config: VerificationConfig, peel: int = 1):
-    """The pre-PR Houdini loop: one raw-keyed checker for the rounds, a
-    fresh checker re-solving everything for the final verification."""
-    pool = default_candidates(target, config.bindings)
-    body = peel_loops(bind_command(target.body, config.bindings), peel)
-    psi = _bind_psi(target.function.precondition, config.bindings)
-    assumptions = [bind_expr(a, config.bindings) for a in config.assumptions]
-    checker = LegacyObligationChecker(psi, assumptions, collect_models=False)
-
-    surviving = list(pool)
-    for _ in range(64):
-        generator = VCGenerator(use_invariants=True, extra_invariants=tuple(surviving))
-        generator.run(body)
-        bad = set()
-        for obligation in generator.obligations:
-            if obligation.tag not in ("invariant-entry", "invariant-preserved"):
-                continue
-            label = obligation.label
-            if not (isinstance(label, tuple) and label[0] == "extra"):
-                continue
-            if label[1] in bad:
-                continue
-            if checker.check(obligation) is not None:
-                bad.add(label[1])
-        if not bad:
-            break
-        surviving = [inv for k, inv in enumerate(surviving) if k not in bad]
-
-    generator = VCGenerator(use_invariants=True, extra_invariants=tuple(surviving))
-    generator.run(body)
-    final = LegacyObligationChecker(psi, assumptions)
-    failures = final.check_all(generator.obligations)
-    return failures, (checker.legacy_validity, final.legacy_validity)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +104,13 @@ def run_workloads(quick: bool) -> Dict:
 
     def record(
         workload: str,
-        side: str,
         queries: int,
         hits: int,
         solves: int,
         seconds: float,
         pivots: Optional[int] = None,
     ) -> None:
-        entry = results["workloads"].setdefault(workload, {})
-        entry[side] = {
+        entry = results["workloads"][workload] = {
             "queries": queries,
             "cache_hits": hits,
             "solve_calls": solves,
@@ -260,43 +118,8 @@ def run_workloads(quick: bool) -> Dict:
             "queries_per_second": round(queries / seconds, 2) if seconds > 0 else None,
         }
         if pivots is not None:
-            entry[side]["pivots"] = pivots
+            entry["pivots"] = pivots
 
-    # -- baseline ------------------------------------------------------------
-    queries = hits = solves = 0
-    start = time.perf_counter()
-    for name in unroll_names:
-        spec = get(name)
-        _, validity = legacy_verify(spec.target(), spec_config(spec))
-        queries += validity.queries
-        hits += validity.cache_hits
-        solves += validity.solve_calls
-    record("registry-unroll", "baseline", queries, hits, solves, time.perf_counter() - start)
-
-    queries = hits = solves = 0
-    start = time.perf_counter()
-    for name in invariant_names:
-        spec = get(name)
-        config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
-        _, validity = legacy_verify(spec.target(), config)
-        queries += validity.queries
-        hits += validity.cache_hits
-        solves += validity.solve_calls
-    record("registry-invariant", "baseline", queries, hits, solves, time.perf_counter() - start)
-
-    queries = hits = solves = 0
-    start = time.perf_counter()
-    for name in houdini_names:
-        spec = get(name)
-        config = VerificationConfig(mode="invariant", assumptions=spec.assumption_exprs())
-        _, validities = legacy_houdini(_bare_target(name), config)
-        for validity in validities:
-            queries += validity.queries
-            hits += validity.cache_hits
-            solves += validity.solve_calls
-    record("houdini", "baseline", queries, hits, solves, time.perf_counter() - start)
-
-    # -- incremental ---------------------------------------------------------
     cache = QueryCache()
 
     queries = hits = solves = pivots = 0
@@ -311,10 +134,7 @@ def run_workloads(quick: bool) -> Dict:
         hits += stats["cache_hits"]
         solves += stats["solve_calls"]
         pivots += outcome.profile["pivots"]
-    record(
-        "registry-unroll", "incremental", queries, hits, solves,
-        time.perf_counter() - start, pivots=pivots,
-    )
+    record("registry-unroll", queries, hits, solves, time.perf_counter() - start, pivots)
 
     queries = hits = solves = pivots = 0
     start = time.perf_counter()
@@ -329,10 +149,7 @@ def run_workloads(quick: bool) -> Dict:
         hits += stats["cache_hits"]
         solves += stats["solve_calls"]
         pivots += outcome.profile["pivots"]
-    record(
-        "registry-invariant", "incremental", queries, hits, solves,
-        time.perf_counter() - start, pivots=pivots,
-    )
+    record("registry-invariant", queries, hits, solves, time.perf_counter() - start, pivots)
 
     queries = hits = solves = 0
     start = time.perf_counter()
@@ -344,7 +161,7 @@ def run_workloads(quick: bool) -> Dict:
         queries += stats["queries"]
         hits += stats["cache_hits"]
         solves += stats["solve_calls"]
-    record("houdini", "incremental", queries, hits, solves, time.perf_counter() - start)
+    record("houdini", queries, hits, solves, time.perf_counter() - start)
 
     # -- persistent store: cold vs warm (registry unroll sweep) ----------------
     results["warm_store"] = run_warm_store(unroll_names)
@@ -353,25 +170,12 @@ def run_workloads(quick: bool) -> Dict:
     results["witness"] = run_witness(unroll_names)
 
     # -- totals ---------------------------------------------------------------
-    totals: Dict = {}
-    for side in ("baseline", "incremental"):
-        totals[side] = {
-            key: sum(w[side][key] for w in results["workloads"].values())
-            for key in ("queries", "cache_hits", "solve_calls")
-        }
-        totals[side]["seconds"] = round(
-            sum(w[side]["seconds"] for w in results["workloads"].values()), 3
-        )
-    totals["incremental"]["pivots"] = sum(
-        w["incremental"].get("pivots", 0) for w in results["workloads"].values()
-    )
-    base, incr = totals["baseline"], totals["incremental"]
-    totals["solve_call_reduction"] = (
-        round(base["solve_calls"] / incr["solve_calls"], 2) if incr["solve_calls"] else None
-    )
-    totals["wall_time_speedup"] = (
-        round(base["seconds"] / incr["seconds"], 2) if incr["seconds"] else None
-    )
+    workloads = results["workloads"].values()
+    totals: Dict = {
+        key: sum(w.get(key, 0) for w in workloads)
+        for key in ("queries", "cache_hits", "solve_calls", "pivots")
+    }
+    totals["seconds"] = round(sum(w["seconds"] for w in workloads), 3)
     results["totals"] = totals
     return results
 
@@ -631,14 +435,12 @@ SERIAL_REFERENCE_COUNTERS = ("queries", "cache_hits", "solve_calls")
 
 def guard_counters(results: Dict) -> Dict[str, int]:
     """The counters the regression guard tracks, from a quick run."""
-    totals = results["totals"]["incremental"]
-    return {key: int(totals.get(key, 0)) for key in GUARD_COUNTERS}
+    return {key: int(results["totals"][key]) for key in GUARD_COUNTERS}
 
 
 def serial_counters(results: Dict) -> Dict[str, int]:
     """The discharge counters pinned exactly by the guard."""
-    totals = results["totals"]["incremental"]
-    return {key: int(totals.get(key, 0)) for key in SERIAL_REFERENCE_COUNTERS}
+    return {key: int(results["totals"][key]) for key in SERIAL_REFERENCE_COUNTERS}
 
 
 def _pin_hash_seed() -> None:
@@ -762,33 +564,17 @@ def update_reference(reference_path: str) -> int:
 
 def render(results: Dict) -> str:
     lines = [
-        "bench_solver — obligation discharge, baseline vs incremental",
-        f"{'workload':20s} {'side':12s} {'queries':>8s} {'hits':>6s} {'solves':>7s} {'sec':>8s} {'q/s':>8s}",
+        "bench_solver — obligation discharge",
+        f"{'workload':20s} {'queries':>8s} {'hits':>6s} {'solves':>7s} {'pivots':>7s} {'sec':>8s} {'q/s':>8s}",
     ]
-    for workload, sides in results["workloads"].items():
-        for side, stats in sides.items():
-            qps = stats["queries_per_second"]
-            lines.append(
-                f"{workload:20s} {side:12s} {stats['queries']:8d} {stats['cache_hits']:6d} "
-                f"{stats['solve_calls']:7d} {stats['seconds']:8.2f} {qps if qps is not None else '—':>8}"
-            )
-    totals = results["totals"]
-    lines.append(
-        f"{'TOTAL':20s} {'baseline':12s} {totals['baseline']['queries']:8d} "
-        f"{totals['baseline']['cache_hits']:6d} {totals['baseline']['solve_calls']:7d} "
-        f"{totals['baseline']['seconds']:8.2f}"
-    )
-    lines.append(
-        f"{'TOTAL':20s} {'incremental':12s} {totals['incremental']['queries']:8d} "
-        f"{totals['incremental']['cache_hits']:6d} {totals['incremental']['solve_calls']:7d} "
-        f"{totals['incremental']['seconds']:8.2f}"
-    )
-    lines.append(
-        f"solve-call reduction: {totals['solve_call_reduction']}x    "
-        f"wall-time speedup: {totals['wall_time_speedup']}x"
-    )
-    if "pivots" in totals["incremental"]:
-        lines.append(f"incremental pivots: {totals['incremental']['pivots']}")
+    rows = list(results["workloads"].items()) + [("TOTAL", results["totals"])]
+    for workload, stats in rows:
+        qps = stats.get("queries_per_second")
+        lines.append(
+            f"{workload:20s} {stats['queries']:8d} {stats['cache_hits']:6d} "
+            f"{stats['solve_calls']:7d} {stats.get('pivots', '—'):>7} {stats['seconds']:8.2f} "
+            f"{qps if qps is not None else '—':>8}"
+        )
     warm_store = results.get("warm_store")
     if warm_store:
         cold, warm = warm_store["cold"], warm_store["warm"]

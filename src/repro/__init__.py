@@ -83,7 +83,7 @@ def pipeline(source: str, config: Optional[VerificationConfig] = None) -> Pipeli
 
     Thin backward-compatible wrapper over :class:`~repro.pipeline.Pipeline`.
     """
-    run = Pipeline(config=config, memoize=False).run(source)
+    run = Pipeline(config=config).run(source)
     return PipelineResult(run.checked, run.target, run.outcome)
 
 

@@ -144,45 +144,46 @@ def _config_from_args(args) -> VerificationConfig:
     )
 
 
-def _progress_sink(args):
-    """An event printer for ``--progress``, or None when not asked for."""
-    from repro.verify.discharge import (
-        EarlyExit,
-        ObligationDischarged,
-        ObligationRefuted,
-        RoundFinished,
-        UnitFinished,
-        UnitStarted,
-    )
+def _progress_printer(enabled: bool):
+    """The ``--progress`` printer for wire-form events, or None when off.
 
-    if not _flag_default(args, "progress"):
+    Local runs (:func:`_progress_sink`) and ``client`` both print through
+    it, so the two show identical lines for the same discharge.
+    """
+    if not enabled:
         return None
 
     def emit(event) -> None:
-        if isinstance(event, UnitStarted):
-            print(f"  [{event.unit}] started ({event.obligations} obligations)")
-        elif isinstance(event, ObligationDischarged):
-            note = " (cached)" if event.cached else ""
-            print(f"  [{event.unit}] ok {event.oid} {event.tag}{note}")
-        elif isinstance(event, ObligationRefuted):
-            print(f"  [{event.unit}] REFUTED {event.oid} {event.tag}")
-            if event.counterexample:
-                print(f"      {event.counterexample}")
-        elif isinstance(event, UnitFinished):
-            stats = event.stats
+        kind = event.get("kind")
+        if kind == "unit-started":
+            print(f"  [{event['unit']}] started ({event['obligations']} obligations)")
+        elif kind == "obligation-discharged":
+            note = " (cached)" if event.get("cached") else ""
+            print(f"  [{event['unit']}] ok {event['oid']} {event['tag']}{note}")
+        elif kind == "obligation-refuted":
+            print(f"  [{event['unit']}] REFUTED {event['oid']} {event['tag']}")
+            if event.get("counterexample"):
+                print(f"      {event['counterexample']}")
+        elif kind == "unit-finished":
+            stats = event["stats"]
             print(
-                f"  [{event.unit}] finished in {event.seconds:.3f}s "
+                f"  [{event['unit']}] finished in {event['seconds']:.3f}s "
                 f"({stats['solve_calls']} solves, {stats['cache_hits']} cache hits)"
             )
-        elif isinstance(event, EarlyExit):
-            print(f"  [{event.unit}] early exit: {event.reason}")
-        elif isinstance(event, RoundFinished):
-            print(
-                f"  [houdini] round {event.round}: pruned {event.pruned}, "
-                f"{event.surviving} surviving"
-            )
+        elif kind == "early-exit":
+            print(f"  [{event['unit']}] early exit: {event['reason']}")
 
     return emit
+
+
+def _progress_sink(args):
+    """A typed-event sink for ``--progress``, or None when not asked for."""
+    from repro.serve.protocol import event_to_wire
+
+    printer = _progress_printer(_flag_default(args, "progress"))
+    if printer is None:
+        return None
+    return lambda event: printer(event_to_wire(event))
 
 
 def _print_solver_stats(stats, indent: str = "") -> None:
@@ -401,30 +402,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _client_event_printer(args):
-    """A printer for streamed wire events, or None without --progress."""
-    if not getattr(args, "progress", False):
-        return None
-
-    def emit(event) -> None:
-        kind = event.get("kind")
-        if kind == "unit-started":
-            print(f"  [{event['unit']}] started ({event['obligations']} obligations)")
-        elif kind == "obligation-discharged":
-            note = " (cached)" if event.get("cached") else ""
-            print(f"  [{event['unit']}] ok {event['oid']} {event['tag']}{note}")
-        elif kind == "obligation-refuted":
-            print(f"  [{event['unit']}] REFUTED {event['oid']} {event['tag']}")
-            if event.get("counterexample"):
-                print(f"      {event['counterexample']}")
-        elif kind == "unit-finished":
-            print(f"  [{event['unit']}] finished in {event['seconds']:.3f}s")
-        elif kind == "early-exit":
-            print(f"  [{event['unit']}] early exit: {event['reason']}")
-
-    return emit
-
-
 def _client_wire_config(args):
     """The verify request's ``config`` dict from the client flags."""
     config = {}
@@ -538,7 +515,7 @@ def cmd_client(args) -> int:
                 client.shutdown()
                 print("server draining")
                 return 0
-            on_event = _client_event_printer(args)
+            on_event = _progress_printer(args.progress)
             config = _client_wire_config(args)
             if args.action == "witness":
                 if not args.oid:

@@ -245,13 +245,13 @@ class Pipeline:
     config:
         Default :class:`VerificationConfig` for the ``verify`` stage;
         per-call configs override it.
-    memoize:
-        When True (default) stage artifacts are cached keyed on the
-        source hash, so re-running any prefix of the pipeline on an
-        unchanged program is free.  ``parse``/``check``/``lower_ir``/
-        ``lower``/``optimize`` are config-independent; ``verify`` additionally
-        keys on the config fingerprint, so sweeping bindings over one
-        program re-verifies but never re-checks.
+
+    Stage artifacts are cached keyed on the source hash, so re-running
+    any prefix of the pipeline on an unchanged program is free.
+    ``parse``/``check``/``lower_ir``/``lower``/``optimize`` are
+    config-independent; ``verify`` additionally keys on the config
+    fingerprint, so sweeping bindings over one program re-verifies but
+    never re-checks.
 
     Cache hits and misses are tallied per stage in :attr:`cache_hits` /
     :attr:`cache_misses`.
@@ -262,7 +262,7 @@ class Pipeline:
     recur for free across programs, bindings and batch sweeps
     (:meth:`run_many`).
 
-    **Thread safety.**  A memoizing pipeline may be shared by concurrent
+    **Thread safety.**  A pipeline may be shared by concurrent
     callers (``repro serve`` runs one per daemon, with requests on a
     worker pool): the stage memo is locked and **single-flight** —
     concurrent identical stage productions run *once*; the other callers
@@ -275,11 +275,9 @@ class Pipeline:
     def __init__(
         self,
         config: Optional[VerificationConfig] = None,
-        memoize: bool = True,
         query_cache: Optional[QueryCache] = None,
     ) -> None:
         self.config = config or VerificationConfig()
-        self.memoize = memoize
         self.query_cache = query_cache if query_cache is not None else QueryCache()
         self._cache: Dict[Tuple[str, str, str], StageResult] = {}
         self._lock = threading.Lock()
@@ -312,10 +310,6 @@ class Pipeline:
 
     def _memo(self, stage: str, key: str, extra: str, produce) -> StageResult:
         cache_key = (stage, key, extra)
-        if not self.memoize:
-            with self._lock:
-                self.cache_misses[stage] += 1
-            return self._produce(stage, produce)
         while True:
             with self._lock:
                 hit = self._cache.get(cache_key)

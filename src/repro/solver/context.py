@@ -30,7 +30,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.simplify import simplify
 from repro.lang import ast
@@ -326,38 +326,66 @@ class SolverContext:
         key = None
         if self.cache is not None:
             key = normalize_query(goal, self.premises + extra, self.bool_vars)
-            # Single flight: a concurrent identical query waits for this
-            # solve instead of duplicating it (see QueryCache.acquire).
-            entry = self.cache.acquire(key)
-            if entry is not None:
-                self.stats.cache_hits += 1
-                self.last_certificate = entry.certificate
-                return entry.valid, entry.model
-
-        try:
-            self.push()
-            try:
-                for premise in extra:
-                    self.assert_expr(premise)
-                self.solver.add(F.mk_not(self.encoder.boolean(goal)))
-                result = self.solver.check()
-            finally:
-                self.pop()
-        except BaseException:
-            if self.cache is not None and key is not None:
-                self.cache.cancel(key)
-            raise
-        self.stats.solve_calls += 1
-
-        entry = entry_from_result(result)
-        if self.witness and entry.valid:
-            from repro.witness.emit import certificate_from_solver
-
-            entry.certificate = certificate_from_solver(self.solver)
+        entry, hit = cached_entailment(
+            self.cache, key, lambda: self._solve(goal, extra), self.witness
+        )
+        if hit:
+            self.stats.cache_hits += 1
+        else:
+            self.stats.solve_calls += 1
         self.last_certificate = entry.certificate
-        if self.cache is not None and key is not None:
-            self.cache.store(key, entry)
         return entry.valid, entry.model
+
+    def _solve(
+        self, goal: ast.Expr, extra: List[ast.Expr]
+    ) -> Tuple[SatResult, SMTSolver]:
+        """Solve ``extra ∧ ¬goal`` in a pushed scope over the base."""
+        self.push()
+        try:
+            for premise in extra:
+                self.assert_expr(premise)
+            self.solver.add(F.mk_not(self.encoder.boolean(goal)))
+            return self.solver.check(), self.solver
+        finally:
+            self.pop()
+
+
+def cached_entailment(
+    cache: Optional[QueryCache],
+    key: Optional[Tuple],
+    solve: Callable[[], Tuple[SatResult, SMTSolver]],
+    witness: bool,
+) -> Tuple[CacheEntry, bool]:
+    """One entailment answer through the single-flight cache.
+
+    The sequence :class:`SolverContext` and
+    :class:`~repro.solver.interface.ValidityChecker` share: acquire
+    ``key`` (a hit returns at once); otherwise run ``solve`` — the
+    caller's own solver — releasing the flight if it raises, attach a
+    proof certificate to a valid answer when ``witness`` is on, and
+    store the entry.  Returns ``(entry, hit)``; with ``cache`` None
+    every call solves.
+    """
+    if cache is not None:
+        # Single flight: a concurrent identical query waits for this
+        # solve instead of duplicating it (see QueryCache.acquire).
+        entry = cache.acquire(key)
+        if entry is not None:
+            return entry, True
+    try:
+        result, solver = solve()
+    except BaseException:
+        if cache is not None:
+            cache.cancel(key)
+        raise
+    entry = entry_from_result(result)
+    if witness and entry.valid:
+        from repro.witness.emit import certificate_from_solver
+
+        entry.certificate = certificate_from_solver(solver)
+    if cache is not None:
+        cache.store(key, entry)
+    return entry, False
 
 
 def entry_from_result(result: SatResult) -> CacheEntry:

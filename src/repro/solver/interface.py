@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Set, Tuple
 
 from repro.lang import ast
 from repro.solver import formula as F
-from repro.solver.context import Model, QueryCache, entry_from_result, normalize_query
+from repro.solver.context import Model, QueryCache, cached_entailment, normalize_query
 from repro.solver.encode import Encoder
 from repro.solver.profile import SolverProfile
 from repro.solver.smt import SatResult, SMTSolver
@@ -72,27 +72,14 @@ class ValidityChecker:
         premises = tuple(premises)
         self.queries += 1
         key = normalize_query(goal, premises, self.bool_vars)
-        # Single flight (see QueryCache.acquire): a concurrent identical
-        # query waits for this solve instead of duplicating it.
-        entry = self.cache.acquire(key)
-        if entry is not None:
+        entry, hit = cached_entailment(
+            self.cache, key, lambda: self._solve(goal, premises), self.witness
+        )
+        if hit:
             self.cache_hits += 1
-            self.last_certificate = entry.certificate
-            return entry.valid, entry.model
-
-        try:
-            result, solver = self._solve(goal, premises)
-        except BaseException:
-            self.cache.cancel(key)
-            raise
-        self.solve_calls += 1
-        entry = entry_from_result(result)
-        if self.witness and entry.valid:
-            from repro.witness.emit import certificate_from_solver
-
-            entry.certificate = certificate_from_solver(solver)
+        else:
+            self.solve_calls += 1
         self.last_certificate = entry.certificate
-        self.cache.store(key, entry)
         return entry.valid, entry.model
 
     def is_valid(self, goal: ast.Expr, premises: Iterable[ast.Expr] = ()) -> bool:
@@ -116,14 +103,6 @@ class ValidityChecker:
         if model is None:
             raise RuntimeError("solver refuted the query without a model")
         return model
-
-    def is_satisfiable(self, exprs: Iterable[ast.Expr]) -> SatResult:
-        """Check satisfiability of a conjunction of boolean expressions."""
-        encoder = Encoder(bool_vars=self.bool_vars)
-        solver = SMTSolver()
-        for expr in exprs:
-            solver.add(encoder.boolean(expr))
-        return solver.check()
 
     # -- internals -------------------------------------------------------------
 

@@ -141,15 +141,6 @@ class EarlyExit:
     reason: str
 
 
-@dataclass(frozen=True)
-class RoundFinished:
-    """One Houdini pruning round finished."""
-
-    round: int
-    pruned: int
-    surviving: int
-
-
 DischargeEvent = Union[
     PlanProgress,
     UnitStarted,
@@ -157,7 +148,6 @@ DischargeEvent = Union[
     ObligationRefuted,
     UnitFinished,
     EarlyExit,
-    RoundFinished,
 ]
 
 #: An event consumer; pass None to discharge silently.
@@ -290,8 +280,8 @@ class DischargeEngine:
     One engine is configured per verification run (Ψ, parameter
     assumptions, lemma policy, shared query cache).  The discharge loop
     calls :meth:`discharge_unit` per unit and merges the returned
-    accounting in plan order; :meth:`check_one` is the fresh-solver
-    reference check behind ``ObligationChecker.check``.
+    accounting in plan order; :meth:`check` is the fresh-solver
+    reference check the equivalence tests compare that path against.
     """
 
     #: Conjoined-discharge width: batches wider than this are chunked.
@@ -330,6 +320,9 @@ class DischargeEngine:
         #: conjoined chunk shares one certificate object across all of
         #: its members (the proof covers the conjunction).
         self.certificates: Dict[str, object] = {}
+        #: Countermodels of this run's refutations, keyed by obligation
+        #: id, kept for the store whatever ``collect_models`` says.
+        self.countermodels: Dict[str, Model] = {}
         self.validity = ValidityChecker(cache=self.cache, witness=witness)
         self.stats = ContextStats()
         #: Work units discharged so far.
@@ -337,7 +330,7 @@ class DischargeEngine:
         #: True when a fail-fast discharge stopped before the full plan.
         self.early_exited = False
         #: Inner-loop counters merged from every solver context this
-        #: engine ran (:meth:`check_one` accumulates directly into
+        #: engine ran (:meth:`check` accumulates directly into
         #: ``self.validity.profile``).
         self.profile = SolverProfile()
 
@@ -406,7 +399,7 @@ class DischargeEngine:
 
     # -- the fresh-solver reference check --------------------------------------
 
-    def check_one(self, obligation: Obligation) -> Optional[ObligationFailure]:
+    def check(self, obligation: Obligation) -> Optional[ObligationFailure]:
         """None when the obligation is valid, a failure record otherwise.
 
         A refuted check returns its counterexample from the same solve
@@ -425,15 +418,14 @@ class DischargeEngine:
         self,
         unit: DischargeUnit,
         results: Dict[int, ObligationFailure],
-        skip: Optional[Callable[[Obligation], bool]] = None,
         on_failure: Optional[Callable[[Obligation], None]] = None,
         emit: EventSink = None,
     ) -> Tuple[ContextStats, SolverProfile]:
         """Discharge one unit under one pushed solver context.
 
         The unit's shared premises (global assumptions + path base) are
-        asserted once; members are then discharged conjoined, or one by
-        one when ``skip`` must be consulted per obligation.  Returns the
+        asserted once; members are then discharged conjoined in chunks
+        (a one-member chunk is a single individual check).  Returns the
         context's counters for the caller's plan-order merge.
         """
         self.check_cancelled(unit, emit)
@@ -445,10 +437,7 @@ class DischargeEngine:
             context.assert_expr(premise)
         for premise in unit.base:
             context.assert_expr(premise)
-        if skip is None and len(unit.members) > 1:
-            self._discharge_batched(context, unit, results, on_failure, emit)
-        else:
-            self._discharge_each(context, unit, results, skip, on_failure, emit)
+        self._discharge_batched(context, unit, results, on_failure, emit)
         if emit is not None:
             emit(
                 UnitFinished(
@@ -456,26 +445,6 @@ class DischargeEngine:
                 )
             )
         return context.stats, context.profile
-
-    def _discharge_each(self, context, unit, results, skip, on_failure, emit) -> None:
-        for index, obligation, suffix in unit.members:
-            self.check_cancelled(unit, emit)
-            if skip is not None and skip(obligation):
-                continue
-            hits_before = context.stats.cache_hits
-            valid, model = context.check_entailment(
-                obligation.goal,
-                list(suffix) + self.extra_premises_for(obligation),
-            )
-            cached = context.stats.cache_hits > hits_before
-            failure = self._failure(obligation, valid, model)
-            if failure is not None:
-                results[index] = failure
-                if on_failure is not None:
-                    on_failure(obligation)
-            elif self.witness:
-                self._record_certificate(obligation, context.last_certificate)
-            self._emit_verdict(emit, unit, obligation, failure, valid, cached)
 
     def _discharge_batched(self, context, unit, results, on_failure, emit) -> None:
         """Conjoined discharge: prove all goals of a unit in few solves.
@@ -545,9 +514,11 @@ class DischargeEngine:
             decided = {index for index, _ in falsified}
             pending = [item for item in pending if item[0] not in decided]
         for index, obligation, suffix, extension in pending:
+            hits_before = context.stats.cache_hits
             valid, model = context.check_entailment(
                 obligation.goal, list(suffix) + extension
             )
+            cached = context.stats.cache_hits > hits_before
             failure = self._failure(obligation, valid, model)
             if failure is not None:
                 results[index] = failure
@@ -555,7 +526,7 @@ class DischargeEngine:
                     on_failure(obligation)
             elif self.witness:
                 self._record_certificate(obligation, context.last_certificate)
-            self._emit_verdict(emit, unit, obligation, failure, valid, None)
+            self._emit_verdict(emit, unit, obligation, failure, valid, cached)
 
     # -- shared helpers --------------------------------------------------------
 
@@ -574,6 +545,8 @@ class DischargeEngine:
     ) -> Optional[ObligationFailure]:
         if valid:
             return None
+        if model is not None and self.store is not None:
+            self.countermodels[obligation.oid] = model
         if not self.collect_models or model is None:
             return ObligationFailure(obligation)
         arith, booleans = model
@@ -595,7 +568,7 @@ class DischargeEngine:
     # -- accounting ------------------------------------------------------------
 
     def solver_stats(self) -> ContextStats:
-        """Aggregate counters: :meth:`check_one` queries plus all unit work."""
+        """Aggregate counters: :meth:`check` queries plus all unit work."""
         stats = ContextStats(
             queries=self.validity.queries,
             cache_hits=self.validity.cache_hits,

@@ -24,14 +24,13 @@ from repro.core.simplify import simplify
 from repro.lang import ast
 from repro.solver.context import QueryCache
 from repro.target.transform import COST_VAR, TargetProgram
-from repro.verify.discharge import EventSink, RoundFinished
 from repro.verify.verifier import (
     ObligationChecker,
     VerificationConfig,
     VerificationOutcome,
-    ObligationFailure,
     bind_command,
     bind_expr,
+    discharge_outcome,
     _bind_psi,
 )
 from repro.verify.vcgen import Obligation, VCGenerator
@@ -215,7 +214,6 @@ def infer_invariants(
     candidates: Optional[Sequence[ast.Expr]] = None,
     peel: int = 1,
     cache: Optional[QueryCache] = None,
-    on_event: EventSink = None,
 ) -> HoudiniResult:
     """Run Houdini and verify the program with the surviving invariants.
 
@@ -225,12 +223,8 @@ def infer_invariants(
     once, and the final full verification replays the last round's
     queries out of the cache instead of re-solving them.
 
-    Pruning rounds and the final verification discharge through the
-    first-class API (:mod:`repro.verify.discharge`): units are
-    discharged in plan order, and ``on_event`` receives
-    the typed :class:`DischargeEvent` stream — unit/obligation events
-    from every discharge plus a :class:`RoundFinished` per pruning
-    round.
+    Pruning rounds and the final verification go through the one
+    discharge path, :meth:`ObligationChecker.discharge_stream`.
     """
     config = config or VerificationConfig(mode="invariant")
     pool = list(candidates) if candidates is not None else default_candidates(target, config.bindings)
@@ -255,15 +249,11 @@ def infer_invariants(
         generator.run(body)
         bad: Set[int] = set()
         # Batched discharge makes each refuting model prune *every*
-        # candidate it falsifies in one solve — the seed's per-candidate
-        # skip loop is subsumed by the conjoined check's refinement.
-        checker.check_all(
+        # candidate it falsifies in one solve.
+        checker.discharge_stream(
             [ob for ob in generator.obligations if _is_candidate_obligation(ob)],
             on_failure=lambda ob: bad.add(ob.label[1]),
-            emit=on_event,
         )
-        if on_event is not None:
-            on_event(RoundFinished(rounds, len(bad), len(surviving) - len(bad)))
         if not bad:
             break
         surviving = [inv for k, inv in enumerate(surviving) if k not in bad]
@@ -285,25 +275,11 @@ def infer_invariants(
     # Pruning rounds always run their full plan — every refutation is
     # pruning signal, not failure — but the final verification honours
     # ``fail_fast``: refuting one program assertion is enough to reject.
-    failures: List[ObligationFailure] = final_checker.discharge_stream(
-        generator.obligations, emit=on_event, fail_fast=config.fail_fast
+    outcome = discharge_outcome(
+        generator, final_checker, generator.obligations, config, start
     )
-    stats = final_checker.solver_stats()
     run_stats = checker.solver_stats()
-    run_stats.merge(stats)
-    outcome = VerificationOutcome(
-        verified=not failures,
-        obligations_total=len(generator.obligations),
-        failures=failures,
-        seconds=time.perf_counter() - start,
-        solver_queries=stats.queries,
-        cache_hits=stats.cache_hits,
-        solve_calls=stats.solve_calls,
-        context_pushes=stats.pushes,
-        context_pops=stats.pops,
-        units=final_checker.units_run,
-        early_exit=final_checker.early_exited,
-    )
+    run_stats.merge(final_checker.solver_stats())
     return HoudiniResult(
         invariants=tuple(surviving),
         outcome=outcome,

@@ -151,9 +151,9 @@ class VCGenerator(StatementVisitor):
 
     :meth:`stream` is the primary interface — a generator yielding each
     obligation with provenance attached; :meth:`run` drains the stream
-    and returns the final state (the pre-streaming API, still used by
-    Houdini and the benchmarks).  Either way every obligation also
-    accumulates on :attr:`obligations` in emission order.
+    and returns the final state (Houdini uses it: each pruning round
+    filters the complete obligation list).  Either way every obligation
+    also accumulates on :attr:`obligations` in emission order.
     """
 
     unroll_limit: int = 64
@@ -292,7 +292,7 @@ class VCGenerator(StatementVisitor):
         :class:`~repro.ir.StatementVisitor`, branches reconverge at the
         CFG join, loops run their body sub-CFGs.  Traversal order — and
         therefore obligation order, havoc numbering and the path
-        conditions — is identical to the pre-streaming executor.
+        conditions — is identical to that walker's.
         """
         bid: Optional[int] = start
         while bid is not None and bid != stop:

@@ -14,9 +14,7 @@ The discharge machinery itself is the API in
 into addressable units, and :meth:`ObligationChecker.discharge_stream`
 discharges them one after another in plan order — the only discharge
 path — while emitting a typed :class:`DischargeEvent` stream.  This
-module wires a :class:`VerificationConfig` to that API and keeps the
-legacy :class:`ObligationChecker` surface (``check`` / ``check_all``)
-on top of it.
+module wires a :class:`VerificationConfig` to that API.
 
 Three regimes mirror the paper's Table 1 columns:
 
@@ -38,10 +36,10 @@ from fractions import Fraction
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -238,7 +236,7 @@ def bind_command(cmd: ast.Command, bindings: Dict[str, Fraction]) -> ast.Command
 
 
 class ObligationChecker(DischargeEngine):
-    """The configured discharge engine plus the legacy checking surface.
+    """The configured discharge engine plus the store around it.
 
     :meth:`discharge_stream` is the discharge path: obligations are
     grouped into path-prefix units; each unit's premises (assumptions +
@@ -256,37 +254,29 @@ class ObligationChecker(DischargeEngine):
 
     # -- discharge -------------------------------------------------------------
 
-    def check(self, obligation: Obligation) -> Optional[ObligationFailure]:
-        """None when the obligation is valid, a failure record otherwise."""
-        return self.check_one(obligation)
-
     def discharge_stream(
         self,
         obligations,
-        skip: Optional[Callable[[Obligation], bool]] = None,
         on_failure: Optional[Callable[[Obligation], None]] = None,
         emit: EventSink = None,
         fail_fast: bool = False,
     ) -> List[ObligationFailure]:
         """Discharge an obligation stream; failures in stream order.
 
-        ``skip`` is consulted just before each obligation is checked and
-        ``on_failure`` fires as refutations are found — together they let
-        Houdini prune a candidate's remaining obligations mid-batch
-        (``skip`` implies per-obligation discharge; otherwise each unit
-        is discharged conjoined).  ``emit`` receives the typed
+        ``on_failure`` fires as refutations are found — Houdini prunes
+        a candidate on each.  ``emit`` receives the typed
         :class:`DischargeEvent` stream; ``fail_fast`` stops after the
         unit holding the first refutation.
 
-        With a persistent store configured (and no Houdini-style
-        callbacks, whose verdicts are about *candidates*, not the
+        With a persistent store configured (and no ``on_failure``
+        callback: Houdini's verdicts are about *candidates*, not the
         program), each streamed obligation is first looked up by
         ``(oid, fingerprint)``: hits are reported under the pseudo-unit
         ``"store"`` without ever reaching the plan, misses flow into
         discharge as usual, and a clean complete run writes its fresh
         verdicts back in one transaction.
         """
-        store = self.store if (skip is None and on_failure is None) else None
+        store = self.store if on_failure is None else None
         #: store-refuted obligations, keyed by original stream index.
         store_failures: Dict[int, ObligationFailure] = {}
         #: filtered position → original stream index, for re-keying.
@@ -299,7 +289,7 @@ class ObligationChecker(DischargeEngine):
         results: Dict[int, ObligationFailure] = {}
         completed: List[DischargeUnit] = []
         for unit in units:
-            stats, profile = self.discharge_unit(unit, results, skip, on_failure, emit)
+            stats, profile = self.discharge_unit(unit, results, on_failure, emit)
             self.stats.merge(stats)
             self.profile.merge(profile)
             completed.append(unit)
@@ -418,18 +408,16 @@ class ObligationChecker(DischargeEngine):
         for unit in completed:
             region = unit.region
             for member_index, obligation, _ in unit.members:
-                failure = results.get(member_index)
-                if failure is None:
+                if member_index not in results:
                     rows.append(
                         (obligation.oid, obligation.tag, region, True, "unsat", None,
                          self.witness_text(obligation.oid))
                     )
                 else:
-                    model = None
-                    status = "unknown"
-                    if failure.arith_model is not None or failure.bool_model is not None:
-                        model = (failure.arith_model or {}, failure.bool_model or {})
-                        status = "sat"
+                    # The refuting solve's model, even when the outcome
+                    # does not report it (``collect_models=False``).
+                    model = self.countermodels.get(obligation.oid)
+                    status = "unknown" if model is None else "sat"
                     rows.append(
                         (obligation.oid, obligation.tag, region, False, status, model,
                          None)
@@ -448,18 +436,6 @@ class ObligationChecker(DischargeEngine):
         return replace(
             certificate, oid=oid, fingerprint=self.store_fingerprint
         ).to_json()
-
-    def check_all(
-        self,
-        obligations: Sequence[Obligation],
-        skip: Optional[Callable[[Obligation], bool]] = None,
-        on_failure: Optional[Callable[[Obligation], None]] = None,
-        emit: EventSink = None,
-    ) -> List[ObligationFailure]:
-        """Discharge a batch of obligations; failures in input order."""
-        return self.discharge_stream(
-            obligations, skip=skip, on_failure=on_failure, emit=emit
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +520,29 @@ def verify_target(
     """
     config = config or VerificationConfig()
     start = time.perf_counter()
-    intern_hits_before, intern_misses_before = intern.counters()
-
     generator, checker = prepare_generator(target, config, cache)
-    store_before = checker.store.snapshot() if checker.store is not None else None
     stream = generator.stream(target_cfg(target, config))
+    return discharge_outcome(generator, checker, stream, config, start, on_event)
+
+
+def discharge_outcome(
+    generator: VCGenerator,
+    checker: ObligationChecker,
+    obligations: Iterable[Obligation],
+    config: VerificationConfig,
+    start: float,
+    on_event: EventSink = None,
+) -> VerificationOutcome:
+    """Discharge ``generator``'s obligations and account the run.
+
+    Shared by :func:`verify_target` and Houdini's final verification.
+    ``start`` is when the run began (its ``seconds`` count from there);
+    ``config`` supplies ``fail_fast`` and ``profile``.
+    """
+    intern_hits_before, intern_misses_before = intern.counters()
+    store_before = checker.store.snapshot() if checker.store is not None else None
     failures = checker.discharge_stream(
-        stream, emit=on_event, fail_fast=config.fail_fast
+        obligations, emit=on_event, fail_fast=config.fail_fast
     )
     stats = checker.solver_stats()
     store_stats: Optional[Dict[str, int]] = None
@@ -585,7 +577,7 @@ def verify_target(
         profile=profile_dict,
         oids=[ob.oid for ob in generator.obligations],
         store=store_stats,
-        witnesses=len(checker.certificates) if config.witness else None,
+        witnesses=len(checker.certificates) if checker.witness else None,
     )
 
 

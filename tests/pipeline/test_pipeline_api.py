@@ -27,7 +27,7 @@ class TestStages:
         assert STAGES == ("parse", "check", "lower_ir", "lower", "optimize", "verify")
 
     def test_run_stops_after_each_stage(self):
-        pipe = Pipeline(memoize=False)
+        pipe = Pipeline()
         for k, stage in enumerate(STAGES[:-1]):  # verify covered below
             run = pipe.run(SVT.source, stop_after=stage)
             assert list(run.stages) == list(STAGES[: k + 1])
@@ -154,12 +154,6 @@ class TestMemoization:
         assert pipe.cache_hits["check"] == 2
         assert pipe.cache_hits["lower"] == 2
         assert pipe.cache_hits["verify"] == 2
-
-    def test_memoize_false_never_caches(self):
-        pipe = Pipeline(memoize=False)
-        pipe.run(SVT.source, stop_after="check")
-        run = pipe.run(SVT.source, stop_after="check")
-        assert not any(r.cached for r in run.stages.values())
 
 
 class TestCLI:

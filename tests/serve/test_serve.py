@@ -557,6 +557,43 @@ class TestCLI:
         assert "started (" in out
         assert "ok " in out
 
+    def test_local_and_client_progress_print_identical_lines(
+        self, server, tmp_path, capsys
+    ):
+        """``verify --progress`` and ``client verify --progress`` render
+        the same discharge through one printer: identical event lines,
+        timings aside."""
+        import re
+
+        from repro.cli import main as cli_main
+
+        _, sock = server
+        spec = registry.get("bad_svt_no_budget")
+        path = tmp_path / "prog.sdp"
+        path.write_text(spec.source)
+        flags = ["--unroll", "16", "--progress"]
+        for name, value in spec.fixed_bindings.items():
+            flags += ["--bind", f"{name}={value}"]
+        for fact in spec.assumptions:
+            flags += ["--assume", fact]
+
+        def event_lines(out):
+            lines = [
+                re.sub(r"finished in \d+\.\d+s", "finished in _s", line)
+                for line in out.splitlines()
+                if line.startswith(("  [", "      "))
+            ]
+            assert lines
+            return lines
+
+        assert cli_main(["verify", str(path)] + flags) == 1
+        local = event_lines(capsys.readouterr().out)
+        assert cli_main(["client", "verify", "--file", str(path), "--socket", sock] + flags) == 1
+        remote = event_lines(capsys.readouterr().out)
+        assert local == remote
+        assert any("REFUTED" in line for line in local)
+        assert any("solves," in line and "cache hits" in line for line in local)
+
     def test_client_refuted_exit_code(self, server):
         from repro.cli import main as cli_main
 

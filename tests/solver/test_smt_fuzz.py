@@ -12,7 +12,12 @@ with the search:
 
 Each formula set runs on a fresh solver and again under push/pop scopes
 over one persistent solver, whose answers must agree with the fresh
-ones.  Tier-1 runs a bounded number of examples; the long run is
+ones.  A third mode fuzzes the query cache: each entailment over
+ShadowDP expressions is asked through one shared :class:`QueryCache`,
+once via :class:`ValidityChecker` and once via a :class:`SolverContext`
+(in both orders); the second ask must be a counted hit that replays the
+first answer, and a certificate served on a hit must pass the kernel.
+Tier-1 runs a bounded number of examples; the long run is
 ``pytest tests/solver/test_smt_fuzz.py --hypothesis-profile=ci-long
 --hypothesis-seed=0``.
 """
@@ -22,7 +27,11 @@ from fractions import Fraction
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from repro.lang import ast
 from repro.solver import formula as F
+from repro.solver.context import QueryCache, SolverContext
+from repro.solver.encode import Encoder
+from repro.solver.interface import ValidityChecker
 from repro.solver.linear import LinExpr
 from repro.solver.smt import SMTSolver
 from repro.witness import validate
@@ -109,3 +118,82 @@ def test_scoped_answers_agree_with_fresh_solvers(base, queries):
     result = solver.check()
     check_answer(solver, result, base)
     assert result.status == fresh_check(base)
+
+
+# -- cache-hit mode: the same fuzzed queries as ShadowDP expressions ----------
+
+
+@st.composite
+def expr_atoms(draw):
+    names = draw(st.lists(st.sampled_from(VARS), min_size=1, max_size=3, unique=True))
+    term: ast.Expr = ast.Real(draw(st.integers(-4, 4)))
+    for name in names:
+        coeff = ast.Real(draw(st.sampled_from(COEFFS)))
+        term = ast.BinOp("+", term, ast.BinOp("*", coeff, ast.Var(name)))
+    op = draw(st.sampled_from(["<", "<=", "=="]))
+    return ast.BinOp(op, term, ast.ZERO)
+
+
+exprs = st.recursive(
+    expr_atoms(),
+    lambda children: st.one_of(
+        children.map(ast.Not),
+        st.tuples(st.sampled_from(["&&", "||"]), children, children).map(
+            lambda t: ast.BinOp(*t)
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+def ask_checker(cache, goal, premises):
+    checker = ValidityChecker(cache=cache, witness=True)
+    valid, model = checker.entailment(goal, premises)
+    assert checker.queries == 1
+    return valid, model, checker.last_certificate, checker.cache_hits == 1
+
+
+def ask_context(cache, goal, premises):
+    context = SolverContext(cache=cache, witness=True)
+    # Half the premises as the asserted base, half as per-query extras:
+    # the cache key covers both, so the split must not matter.
+    split = len(premises) // 2
+    for premise in premises[:split]:
+        context.assert_expr(premise)
+    valid, model = context.check_entailment(goal, premises[split:])
+    stats = context.stats
+    assert stats.queries == 1 and stats.cache_hits + stats.solve_calls == 1
+    return valid, model, context.last_certificate, stats.cache_hits == 1
+
+
+def check_entailment_answer(goal, premises, valid, model, certificate):
+    """The expression-level oracles: a kernel-checked certificate for a
+    valid answer, an exactly evaluated countermodel for a refuted one."""
+    if valid:
+        assert certificate is not None
+        validate(certificate)
+        return
+    assert model is not None
+    arith, booleans = model
+    values = {n: arith.get(n, Fraction(0)) for n in VARS}
+    encoder = Encoder()
+    for premise in premises:
+        assert F.evaluate(encoder.boolean(premise), values, booleans)
+    assert not F.evaluate(encoder.boolean(goal), values, booleans)
+
+
+@FUZZ
+@given(exprs, st.lists(exprs, max_size=4), st.booleans())
+def test_cache_hits_replay_the_solved_answer(goal, premises, checker_first):
+    cache = QueryCache()
+    first, second = (ask_checker, ask_context) if checker_first else (ask_context, ask_checker)
+    valid, model, certificate, hit = first(cache, goal, premises)
+    assert not hit
+    check_entailment_answer(goal, premises, valid, model, certificate)
+    event("valid" if valid else "refuted")
+
+    valid2, model2, certificate2, hit2 = second(cache, goal, premises)
+    assert hit2, "the second ask must be answered from the shared cache"
+    assert (valid2, model2) == (valid, model)
+    assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
+    check_entailment_answer(goal, premises, valid2, model2, certificate2)

@@ -59,6 +59,24 @@ class TestRoundTrip:
         assert warm.store["misses"] == 0
         assert warm.store["writes"] == 0
 
+    def test_model_free_fill_keeps_countermodels(self, tmp_path):
+        """A store filled by a ``collect_models=False`` run still records
+        each refutation's countermodel (the refuting solve produced one),
+        so a later run that wants models gets them from its hits."""
+        path = os.fspath(tmp_path / "store.sqlite")
+        cold = _run("bad_svt_no_budget", path, collect_models=False)
+        assert cold.verified is False
+        assert all(f.arith_model is None for f in cold.failures)
+
+        warm = _run("bad_svt_no_budget", path, collect_models=True)
+        assert warm.solve_calls == 0
+        assert warm.store["hits"] == warm.obligations_total
+        assert warm.failures[0].arith_model is not None
+        fresh = _run("bad_svt_no_budget", None)
+        assert [f.describe() for f in warm.failures] == [
+            f.describe() for f in fresh.failures
+        ]
+
     def test_refuted_program_round_trips_countermodels(self, tmp_path):
         path = os.fspath(tmp_path / "store.sqlite")
         cold = _run("bad_svt_leaks_value", path)
@@ -249,7 +267,7 @@ class TestConfiguration:
         assert _config_from_args(argparse.Namespace()).store is None
 
     def test_houdini_callbacks_bypass_store(self, tmp_path):
-        """Houdini-style runs (skip/on_failure closures) judge candidate
+        """Houdini-style runs (an on_failure closure) judge candidate
         invariants, not the program — their verdicts must never be
         persisted or served."""
         from repro.verify.verifier import iter_obligations, prepare_generator
@@ -260,7 +278,7 @@ class TestConfiguration:
         target = spec.target()
         _, checker = prepare_generator(target, config)
         failures = checker.discharge_stream(
-            iter_obligations(target, config), skip=lambda ob: False
+            iter_obligations(target, config), on_failure=lambda ob: None
         )
         assert failures == []
         assert checker.store.snapshot() == {
